@@ -45,16 +45,13 @@ lint-json:
 # accesses/op per row) and compared against testdata/bench_baseline.json
 # on the deterministic accesses/op metric (>20% worse fails; ns/op and
 # allocs/op appear as informational columns — gate on allocations with
-# BENCHJSON_FLAGS='... -metric allocs/op'). The SPJBatchedMaintenance row
-# runs under IDIVM_BATCH_SIZE=1024: its accesses/op must match the
-# SPJNonConditionalUpdate/id row — batching is invisible to the cost model.
+# BENCHJSON_FLAGS='... -metric allocs/op').
 # Regenerate the baseline after a deliberate cost change with:
 #   make bench-smoke BENCHJSON_FLAGS='-o testdata/bench_baseline.json'
 BENCHJSON_FLAGS ?= -o BENCH.json -baseline testdata/bench_baseline.json
 bench-smoke:
 	$(GO) test -run '^$$' -bench '^BenchmarkFig12a_DiffSize$$/^d=200$$' -benchtime=1x . | tee bench.txt
 	$(GO) test -run '^$$' -bench '^BenchmarkSPJNonConditionalUpdate$$' -benchtime=1x . | tee -a bench.txt
-	IDIVM_BATCH_SIZE=1024 $(GO) test -run '^$$' -bench '^BenchmarkSPJBatchedMaintenance$$' -benchtime=1x . | tee -a bench.txt
 	$(GO) test -run '^$$' -bench '^BenchmarkScanHeavyRecompute$$' -benchtime=1x . | tee -a bench.txt
 	$(GO) test -run '^$$' -bench '^BenchmarkBatch(Filter|HashJoin)$$' -benchtime=1x . | tee -a bench.txt
 	$(GO) test -run '^$$' -bench '^BenchmarkCascadeMaintenance$$' -benchtime=1x . | tee -a bench.txt

@@ -56,10 +56,6 @@ func benchBSMAParams() bsma.Params {
 	return p
 }
 
-// benchIVM measures maintenance rounds of the running-example aggregate
-// (or SPJ) view in the given mode. workers > 1 runs the Δ-script on the
-// step-DAG scheduler; access counts are identical either way, so the
-// accesses/op column is schedule-independent.
 // benchOpWorkers reads $IDIVM_OP_WORKERS, the bench-smoke knob that grants
 // every maintenance round intra-operator workers (0 = sequential kernels).
 // Access counts are invariant under the knob, so the gated accesses/op
@@ -72,22 +68,6 @@ func benchOpWorkers() int {
 	n, err := strconv.Atoi(v)
 	if err != nil || n < 0 {
 		panic(fmt.Sprintf("bad IDIVM_OP_WORKERS %q", v))
-	}
-	return n
-}
-
-// benchBatchSize reads $IDIVM_BATCH_SIZE, the bench-smoke knob that runs
-// every compiled compute step through the columnar batch kernels
-// (0 = tuple mode). Access counts are invariant under the knob, so the
-// gated accesses/op column is unaffected; only ns/op and allocs/op move.
-func benchBatchSize() int {
-	v := os.Getenv("IDIVM_BATCH_SIZE")
-	if v == "" {
-		return 0
-	}
-	n, err := strconv.Atoi(v)
-	if err != nil || n < 0 {
-		panic(fmt.Sprintf("bad IDIVM_BATCH_SIZE %q", v))
 	}
 	return n
 }
@@ -109,13 +89,13 @@ func benchSkewThreshold() int {
 	return n
 }
 
-func benchIVM(b *testing.B, p workload.Params, agg bool, mode ivm.Mode, workers int) {
+// benchIVM measures maintenance rounds of the running-example aggregate
+// (or SPJ) view in the given mode.
+func benchIVM(b *testing.B, p workload.Params, agg bool, mode ivm.Mode) {
 	b.Helper()
 	ds := workload.Build(p)
 	sys := ivm.NewSystem(ds.DB)
-	sys.Workers = workers
 	sys.OpWorkers = benchOpWorkers()
-	sys.BatchSize = benchBatchSize()
 	plan := ds.SPJPlan()
 	if agg {
 		plan = ds.AggPlan()
@@ -173,22 +153,14 @@ func benchSDBT(b *testing.B, p workload.Params, variant sdbt.Variant) {
 	b.ReportMetric(float64(accesses)/float64(b.N), "accesses/op")
 }
 
-// benchWorkers is the pool size for the parallel-executor columns: enough
-// to overlap a script's independent compute steps without oversubscribing
-// CI runners.
-const benchWorkers = 4
-
-// approachSet runs the Figure 12 columns as sub-benchmarks, plus column E:
-// the id-based approach on the parallel step-DAG executor (same accesses/op
-// as column A by construction; the delta is ns/op).
+// approachSet runs the Figure 12 columns as sub-benchmarks.
 func approachSet(b *testing.B, p workload.Params, withSDBT bool) {
-	b.Run("A=idIVM", func(b *testing.B) { benchIVM(b, p, true, ivm.ModeID, 1) })
-	b.Run("B=tuple", func(b *testing.B) { benchIVM(b, p, true, ivm.ModeTuple, 1) })
+	b.Run("A=idIVM", func(b *testing.B) { benchIVM(b, p, true, ivm.ModeID) })
+	b.Run("B=tuple", func(b *testing.B) { benchIVM(b, p, true, ivm.ModeTuple) })
 	if withSDBT {
 		b.Run("C=sdbt-fixed", func(b *testing.B) { benchSDBT(b, p, sdbt.Fixed) })
 		b.Run("D=sdbt-streams", func(b *testing.B) { benchSDBT(b, p, sdbt.Streams) })
 	}
-	b.Run("E=parallel", func(b *testing.B) { benchIVM(b, p, true, ivm.ModeID, benchWorkers) })
 }
 
 // BenchmarkFig10 regenerates Figure 10: the eight BSMA views maintained
@@ -301,20 +273,8 @@ func BenchmarkTable3_AggModel(b *testing.B) {
 // (Example 1.2): non-conditional updates through an SPJ view.
 func BenchmarkSPJNonConditionalUpdate(b *testing.B) {
 	p := benchWorkloadParams()
-	b.Run("id", func(b *testing.B) { benchIVM(b, p, false, ivm.ModeID, 1) })
-	b.Run("tuple", func(b *testing.B) { benchIVM(b, p, false, ivm.ModeTuple, 1) })
-	b.Run("parallel", func(b *testing.B) { benchIVM(b, p, false, ivm.ModeID, benchWorkers) })
-}
-
-// BenchmarkSPJBatchedMaintenance is the bench-smoke lane for the
-// IDIVM_BATCH_SIZE knob: the same workload and Δ-script as
-// BenchmarkSPJNonConditionalUpdate/id, but bench-smoke runs it under
-// IDIVM_BATCH_SIZE=1024 so the full maintenance path (not just isolated
-// kernels) flows through the columnar executor. Its own name keeps the
-// tuple-mode row intact in BENCH.json; the gated accesses/op must equal
-// the /id row's — batching is invisible to the cost model.
-func BenchmarkSPJBatchedMaintenance(b *testing.B) {
-	benchIVM(b, benchWorkloadParams(), false, ivm.ModeID, 1)
+	b.Run("id", func(b *testing.B) { benchIVM(b, p, false, ivm.ModeID) })
+	b.Run("tuple", func(b *testing.B) { benchIVM(b, p, false, ivm.ModeTuple) })
 }
 
 // benchSkewLane measures maintenance rounds of the skewed-join feed view
@@ -326,7 +286,6 @@ func benchSkewLane(b *testing.B, p workload.SkewParams, thresh int) {
 	ds := workload.BuildSkew(p)
 	sys := ivm.NewSystem(ds.DB)
 	sys.OpWorkers = benchOpWorkers()
-	sys.BatchSize = benchBatchSize()
 	sys.SkewThreshold = thresh
 	if _, err := sys.RegisterView("feed", ds.FeedPlan(), ivm.ModeID); err != nil {
 		b.Fatal(err)
@@ -428,7 +387,6 @@ func BenchmarkCascadeMaintenance(b *testing.B) {
 		ds := bsma.Build(p)
 		sys := ivm.NewSystem(ds.DB)
 		sys.OpWorkers = benchOpWorkers()
-		sys.BatchSize = benchBatchSize()
 		if _, err := sys.RegisterView("v1", cascadeL1Plan(ds.DB), ivm.ModeID); err != nil {
 			b.Fatal(err)
 		}
@@ -469,7 +427,7 @@ func BenchmarkCascadeMaintenance(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		env := &opBenchEnv{Env: ds.DB, w: benchOpWorkers(), bs: benchBatchSize()}
+		env := &opBenchEnv{Env: ds.DB, w: benchOpWorkers()}
 		var accesses int64
 		b.ReportAllocs()
 		b.ResetTimer()
@@ -490,17 +448,14 @@ func BenchmarkCascadeMaintenance(b *testing.B) {
 	})
 }
 
-// opBenchEnv grants a database environment intra-operator workers and a
-// batch size, engaging the partition-parallel and/or columnar kernels in
-// compiled plans.
+// opBenchEnv grants a database environment intra-operator workers,
+// engaging the partition-parallel kernels in compiled plans.
 type opBenchEnv struct {
 	algebra.Env
-	w  int
-	bs int
+	w int
 }
 
 func (e *opBenchEnv) OpWorkers() int { return e.w }
-func (e *opBenchEnv) BatchSize() int { return e.bs }
 
 // BenchmarkScanHeavyRecompute measures full recomputation of the Figure 1b
 // (SPJ) and Figure 5b (aggregate) views over a ~200k-row devices_parts
@@ -509,7 +464,9 @@ func (e *opBenchEnv) BatchSize() int { return e.bs }
 // identical results with identical access counts by construction; the
 // ns/op delta between them is the point, and it only materializes on a
 // partitioned engine (run with IDIVM_ENGINE=sharded:8 — a single mem part
-// leaves scans sequential).
+// leaves scans sequential). The b1024 and b1024-op4 rows repeat seq and
+// op4: they date from when batch execution was optional and stay so the
+// gated baseline keeps its rows until it is next regenerated.
 func BenchmarkScanHeavyRecompute(b *testing.B) {
 	p := workload.Defaults(20000) // 20k parts/devices, fanout 10 → ~200k dp rows
 	ds := workload.Build(p)
@@ -528,10 +485,9 @@ func BenchmarkScanHeavyRecompute(b *testing.B) {
 		for _, w := range []struct {
 			name string
 			n    int
-			bs   int
-		}{{"seq", 1, 0}, {"op4", 4, 0}, {"b1024", 1, 1024}, {"b1024-op4", 4, 1024}} {
+		}{{"seq", 1}, {"op4", 4}, {"b1024", 1}, {"b1024-op4", 4}} {
 			b.Run(v.name+"/"+w.name, func(b *testing.B) {
-				env := &opBenchEnv{Env: ds.DB, w: w.n, bs: w.bs}
+				env := &opBenchEnv{Env: ds.DB, w: w.n}
 				var accesses, rows int64
 				b.ReportAllocs()
 				b.ResetTimer()
@@ -573,42 +529,34 @@ func batchBenchDB(b *testing.B, rows int) *db.Database {
 	return d
 }
 
-// runCompiledBench measures repeated runs of one compiled plan in tuple
-// mode and at BatchSize=1024, reporting the gated accesses/op (identical
-// across modes by construction) plus rows/op.
+// runCompiledBench measures repeated runs of one compiled plan as the
+// "b1024" row, reporting the gated accesses/op plus rows/op.
 func runCompiledBench(b *testing.B, d *db.Database, plan algebra.Node) {
 	compiled, err := algebra.Compile(plan)
 	if err != nil {
 		b.Fatal(err)
 	}
-	for _, m := range []struct {
-		name string
-		bs   int
-	}{{"tuple", 0}, {"b1024", 1024}} {
-		b.Run(m.name, func(b *testing.B) {
-			env := &opBenchEnv{Env: d, w: 1, bs: m.bs}
-			var accesses, rows int64
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				d.Counter().Reset()
-				r, err := compiled.Run(env)
-				if err != nil {
-					b.Fatal(err)
-				}
-				accesses += d.Counter().Total()
-				rows += int64(r.Len())
+	b.Run("b1024", func(b *testing.B) {
+		var accesses, rows int64
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			d.Counter().Reset()
+			r, err := compiled.Run(d)
+			if err != nil {
+				b.Fatal(err)
 			}
-			b.ReportMetric(float64(accesses)/float64(b.N), "accesses/op")
-			b.ReportMetric(float64(rows)/float64(b.N), "rows/op")
-		})
-	}
+			accesses += d.Counter().Total()
+			rows += int64(r.Len())
+		}
+		b.ReportMetric(float64(accesses)/float64(b.N), "accesses/op")
+		b.ReportMetric(float64(rows)/float64(b.N), "rows/op")
+	})
 }
 
 // BenchmarkBatchFilter isolates the σ kernels: a conjunctive comparison
-// filter over a 200k-row scan, tuple mode vs the type-specialized batch
-// predicate loops. Access counts (the full scan) are identical; the
-// delta is pure per-row execution overhead.
+// filter over a 200k-row scan through the type-specialized batch
+// predicate loops. The only charged accesses are the full scan.
 func BenchmarkBatchFilter(b *testing.B) {
 	d := batchBenchDB(b, 200000)
 	sch := rel.NewSchema([]string{"k", "grp", "val"}, []string{"k"})
@@ -620,9 +568,9 @@ func BenchmarkBatchFilter(b *testing.B) {
 }
 
 // BenchmarkBatchHashJoin isolates the hash-join kernels: a self-join of
-// two 200k-row derived projections, tuple mode's string-keyed hash table
-// vs the batch FNV-digest build and gather-pair probe. Both sides are
-// derived, so the only charged accesses are the two scans.
+// two 200k-row derived projections through the FNV-digest build and
+// gather-pair probe. Both sides are derived, so the only charged accesses
+// are the two scans.
 func BenchmarkBatchHashJoin(b *testing.B) {
 	d := batchBenchDB(b, 200000)
 	sch := rel.NewSchema([]string{"k", "grp", "val"}, []string{"k"})

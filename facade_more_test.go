@@ -1,6 +1,7 @@
 package idivm_test
 
 import (
+	"fmt"
 	"testing"
 
 	"idivm"
@@ -132,5 +133,45 @@ func TestFacadeDuplicateView(t *testing.T) {
 	}
 	if err := d.CreateView(`CREATE VIEW broken AS SELECT nosuch FROM parts`); err == nil {
 		t.Fatal("bad column must error")
+	}
+}
+
+// TestBadSQLReturnsErrors sends malformed view SQL through every entry
+// point that parses SQL — CreateView, Query and QuerySnapshot, with and
+// without the serving layer — and requires an error, never a panic.
+func TestBadSQLReturnsErrors(t *testing.T) {
+	bad := []struct{ name, sql string }{
+		{"repeated-column", "SELECT a, a FROM t"},
+		{"repeated-alias", "SELECT a AS x, b AS x FROM t"},
+		{"repeated-aggregate-alias", "SELECT a, SUM(b) AS s, COUNT(*) AS s FROM t GROUP BY a"},
+		{"unaliased-self-join", "SELECT t.a FROM t JOIN t ON t.a = t.b"},
+		{"having-unknown-column", "SELECT a, COUNT(*) AS n FROM t GROUP BY a HAVING zz > 1"},
+	}
+	for _, serving := range []bool{false, true} {
+		var opts []idivm.Option
+		if serving {
+			opts = append(opts, idivm.WithServing(idivm.ServingOptions{}))
+		}
+		d := idivm.Open(opts...)
+		if err := d.CreateTable("t", []string{"a", "b"}, "a"); err != nil {
+			t.Fatal(err)
+		}
+		if err := d.Insert("t", 1, 2); err != nil {
+			t.Fatal(err)
+		}
+		for _, c := range bad {
+			t.Run(fmt.Sprintf("serving=%v/%s", serving, c.name), func(t *testing.T) {
+				if err := d.CreateView(c.sql, idivm.WithName("v")); err == nil {
+					t.Error("CreateView accepted it")
+				}
+				if _, err := d.Query(c.sql); err == nil {
+					t.Error("Query accepted it")
+				}
+				if _, err := d.QuerySnapshot(c.sql); err == nil {
+					t.Error("QuerySnapshot accepted it")
+				}
+			})
+		}
+		d.Close()
 	}
 }

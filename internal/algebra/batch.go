@@ -1,7 +1,6 @@
-// Columnar batch kernels: the BatchSize>0 execution mode of compiled
-// plans. When the environment implements BatchEnv with a positive batch
-// size, ExecPlan.Run routes the plan through runBatch methods that move
-// column vectors (rel.Batch) instead of boxed tuples:
+// Columnar kernels: the executor of compiled plans. ExecPlan.Run drives
+// the run methods below, which move column vectors (rel.Batch) instead
+// of boxed tuples:
 //
 //   - σ runs type-specialized predicate loops over []int64 / []float64 /
 //     []string payloads (no rel.Value boxing per row) and narrows the
@@ -15,23 +14,28 @@
 //     column is a uniform int vector, falling back to the canonical
 //     encoded-key map otherwise.
 //
-// Every kernel preserves tuple-mode semantics bit-for-bit: row order,
-// float widening in comparisons (Value.compare), NULL folding (every
-// comparison with NULL is false, including <>), Same-based key equality
-// (EncodeKey is canonical and injective w.r.t. Same, so hash buckets
-// verified column-wise with Same reproduce the tuple-mode string-keyed
+// Every kernel reproduces the interpreted evaluator bit-for-bit: row
+// order, float widening in comparisons (Value.compare), NULL folding
+// (every comparison with NULL is false, including <>), Same-based key
+// equality (EncodeKey is canonical and injective w.r.t. Same, so hash
+// buckets verified column-wise with Same reproduce Eval's string-keyed
 // buckets exactly), group first-appearance order, and float aggregation
-// fold order. Storage is touched through exactly the same Handle calls
-// as tuple mode — batches form right after a charged Scan/Lookup and
-// materialize only at the plan root — so state, reports and access
-// counters are byte-identical across modes; only ns/op and allocs/op
-// move. Operators that are order-sensitive in ways batching cannot
-// reproduce cheaply (nested-loop joins, the dedup-heavy semiProbeLeft)
-// fall back to the tuple kernels via runNodeBatch.
+// fold order. Storage is touched through exactly the Handle calls Eval
+// makes — batches form right after a charged Scan/Lookup and materialize
+// only at the plan root — so state, reports and access counters are
+// byte-identical to Eval's.
 //
-// OpWorkers composes: chunked batch kernels mirror kernels.go — each
-// worker owns a probe clone and a counter shard, merges happen in chunk
-// order via parallelFor (pool.go), and no other goroutines exist here.
+// OpWorkers parallelism follows one discipline. Work splits into
+// partitions that exist independently of the worker count where
+// semantics demand it (group-by key routing) and into contiguous chunks
+// where order alone matters (scans, probes). Each worker owns its slot of
+// a results slice, a probe clone and a private CostCounter shard obtained
+// via WithCounter. Merges concatenate per-chunk results in chunk (or
+// part) order and fold counter shards in the same fixed order, which
+// reproduces the sequential run row-for-row and charge-for-charge — the
+// property the differential matrix in internal/ivm pins across engines
+// under -race. Goroutines are only ever launched via pool.go's
+// parallelFor; this file stays free of go statements (ivmlint).
 
 package algebra
 
@@ -44,45 +48,52 @@ import (
 	"idivm/internal/storage"
 )
 
-// BatchEnv is an Env that additionally requests columnar batch execution.
-// BatchSize <= 0 selects tuple mode; a positive size enables the batch
-// kernels and sets the arena chunk granularity of the final
-// materialization.
-type BatchEnv interface {
-	Env
-	BatchSize() int
-}
+// ---------------------------------------------------------------------------
+// Leaves
 
-// batchSize extracts the effective batch size from an environment:
-// 0 (tuple mode) unless env implements BatchEnv with a positive size.
-func batchSize(env Env) int {
-	if be, ok := env.(BatchEnv); ok {
-		if n := be.BatchSize(); n > 0 {
-			return n
-		}
-	}
-	return 0
-}
-
-// batchNode is implemented by compiled operators with a columnar kernel.
-type batchNode interface {
-	runBatch(env Env, bs int) (*rel.Batch, error)
-}
-
-// runNodeBatch runs a compiled node in batch mode, falling back to the
-// tuple kernel plus a conversion for operators without a columnar
-// implementation. The fallback charges exactly what tuple mode charges
-// (it is tuple mode), so the conversion sits at a charged boundary.
-func runNodeBatch(c cNode, env Env, bs int) (*rel.Batch, error) {
-	if bn, ok := c.(batchNode); ok {
-		return bn.runBatch(env, bs)
-	}
-	r, err := c.run(env)
+func (c *cStored) run(env Env) (*rel.Batch, error) {
+	t, err := env.Table(c.table)
 	if err != nil {
 		return nil, err
 	}
-	return rel.FromRelation(r), nil
+	return rel.FromTuples(c.sch, scanStored(env, t, c.st)), nil
 }
+
+// scanStored scans a stored table on the caller's counter. With OpWorkers
+// a partitioned table is scanned part-by-part on the worker pool, each
+// part on its own counter shard, concatenated in part order; unpartitioned
+// tables and small inputs take the flat Scan.
+func scanStored(env Env, t *storage.Handle, st rel.State) []rel.Tuple {
+	np, w := t.Parts(), opWorkers(env)
+	if w < 2 || np < 2 || t.Len() < MinOpRows {
+		return t.Scan(st)
+	}
+	parts := make([][]rel.Tuple, np)
+	shards := make([]rel.CostCounter, np)
+	parallelFor(w, np, func(i int) {
+		parts[i] = t.WithCounter(&shards[i]).ScanPart(st, i)
+	})
+	total := 0
+	for i := range parts {
+		t.Merge(shards[i])
+		total += len(parts[i])
+	}
+	out := make([]rel.Tuple, 0, total)
+	for _, p := range parts {
+		out = append(out, p...)
+	}
+	return out
+}
+
+func (c *cBinding) run(env Env) (*rel.Batch, error) {
+	rr, err := env.Rel(c.name)
+	if err != nil {
+		return nil, err
+	}
+	return rel.FromTuples(c.sch, rr.Tuples), nil
+}
+
+func (c *cEmpty) run(Env) (*rel.Batch, error) { return rel.NewBatch(c.sch), nil }
 
 // ---------------------------------------------------------------------------
 // Specialized predicate evaluation (σ)
@@ -385,17 +396,17 @@ func (p *bPred) filter(b *rel.Batch) *rel.Batch {
 // ---------------------------------------------------------------------------
 // σ and π kernels
 
-func (c *cSelect) runBatch(env Env, bs int) (*rel.Batch, error) {
-	child, err := runNodeBatch(c.child, env, bs)
+func (c *cSelect) run(env Env) (*rel.Batch, error) {
+	child, err := c.child.run(env)
 	if err != nil {
 		return nil, err
 	}
-	return c.bpred.filter(child), nil
+	return c.pred.filter(child), nil
 }
 
-// runBatch keeps cStoredSelect's index-vs-scan decision and Handle calls
-// exactly as in tuple mode; only the scan path's filtering is columnar.
-func (c *cStoredSelect) runBatch(env Env, bs int) (*rel.Batch, error) {
+// run makes evalStoredSelect's index-vs-scan decision through the same
+// Handle calls; the scan path filters columnarly.
+func (c *cStoredSelect) run(env Env) (*rel.Batch, error) {
 	t, err := env.Table(c.table)
 	if err != nil {
 		return nil, err
@@ -423,20 +434,11 @@ func (c *cStoredSelect) runBatch(env Env, bs int) (*rel.Batch, error) {
 			return rel.FromTuples(c.sch, rows), nil
 		}
 	}
-	var rows []rel.Tuple
-	if w := opWorkers(env); w > 1 {
-		if out, ok := scanPartsParallel(c.sch, t, c.st, w); ok {
-			rows = out.Tuples
-		}
-	}
-	if rows == nil {
-		rows = t.Scan(c.st)
-	}
-	return c.bfull.filter(rel.FromTuples(c.sch, rows)), nil
+	return c.full.filter(rel.FromTuples(c.sch, scanStored(env, t, c.st))), nil
 }
 
-func (c *cProject) runBatch(env Env, bs int) (*rel.Batch, error) {
-	child, err := runNodeBatch(c.child, env, bs)
+func (c *cProject) run(env Env) (*rel.Batch, error) {
+	child, err := c.child.run(env)
 	if err != nil {
 		return nil, err
 	}
@@ -471,12 +473,12 @@ func (c *cProject) runBatch(env Env, bs int) (*rel.Batch, error) {
 	return out, nil
 }
 
-func (c *cUnion) runBatch(env Env, bs int) (*rel.Batch, error) {
-	left, err := runNodeBatch(c.left, env, bs)
+func (c *cUnion) run(env Env) (*rel.Batch, error) {
+	left, err := c.left.run(env)
 	if err != nil {
 		return nil, err
 	}
-	right, err := runNodeBatch(c.right, env, bs)
+	right, err := c.right.run(env)
 	if err != nil {
 		return nil, err
 	}
@@ -544,26 +546,21 @@ func keysSameIdx(left, right *rel.Batch, lidx, ridx []int, li, ri int) bool {
 	return true
 }
 
-func (c *cJoin) runBatch(env Env, bs int) (*rel.Batch, error) {
-	if c.strategy == joinNested {
-		// Tuple fallback before any child runs, so nothing charges twice.
-		r, err := c.run(env)
-		if err != nil {
-			return nil, err
-		}
-		return rel.FromRelation(r), nil
-	}
+func (c *cJoin) run(env Env) (*rel.Batch, error) {
+	// Diff-driven short-circuit: evaluate the stored-free side first; an
+	// empty diff makes the join free. The result is reused below — that
+	// side charges nothing, so charges match the interpreted re-evaluation.
 	var left, right *rel.Batch
 	var err error
 	if c.shortLeft && c.left != nil {
-		if left, err = runNodeBatch(c.left, env, bs); err != nil {
+		if left, err = c.left.run(env); err != nil {
 			return nil, err
 		}
 		if left.Len() == 0 {
 			return rel.NewBatch(c.sch), nil
 		}
 	} else if c.shortRight && c.right != nil {
-		if right, err = runNodeBatch(c.right, env, bs); err != nil {
+		if right, err = c.right.run(env); err != nil {
 			return nil, err
 		}
 		if right.Len() == 0 {
@@ -571,12 +568,12 @@ func (c *cJoin) runBatch(env Env, bs int) (*rel.Batch, error) {
 		}
 	}
 	if c.left != nil && left == nil {
-		if left, err = runNodeBatch(c.left, env, bs); err != nil {
+		if left, err = c.left.run(env); err != nil {
 			return nil, err
 		}
 	}
 	if c.right != nil && right == nil {
-		if right, err = runNodeBatch(c.right, env, bs); err != nil {
+		if right, err = c.right.run(env); err != nil {
 			return nil, err
 		}
 	}
@@ -586,7 +583,7 @@ func (c *cJoin) runBatch(env Env, bs int) (*rel.Batch, error) {
 		if err != nil {
 			return nil, err
 		}
-		if err := c.prepareHeavyBatch(env, t, left, true); err != nil {
+		if err := c.prepareHeavy(env, t, left, true); err != nil {
 			return nil, err
 		}
 		return c.probeBatch(t, left, true, opWorkers(env))
@@ -595,20 +592,22 @@ func (c *cJoin) runBatch(env Env, bs int) (*rel.Batch, error) {
 		if err != nil {
 			return nil, err
 		}
-		if err := c.prepareHeavyBatch(env, t, right, false); err != nil {
+		if err := c.prepareHeavy(env, t, right, false); err != nil {
 			return nil, err
 		}
 		return c.probeBatch(t, right, false, opWorkers(env))
-	default: // joinHash
+	case joinHash:
 		return c.hashBatch(left, right, opWorkers(env))
+	default: // joinNested
+		return c.nestedBatch(left, right), nil
 	}
 }
 
 // probeBatch drives joinProbeRight/joinProbeLeft from a columnar driving
 // side. Per driving row the stored table is probed through exactly the
-// tuple-mode LookupInto calls; each match appends the driving row's
-// logical index to a gather vector and the probed tuple's values to
-// dense builders — driving-side payloads are never copied.
+// LookupInto calls of Eval's probe loop; each match appends the driving
+// row's logical index to a gather vector and the probed tuple's values
+// to dense builders — driving-side payloads are never copied.
 func (c *cJoin) probeBatch(t *storage.Handle, driving *rel.Batch, drivingLeft bool, w int) (*rel.Batch, error) {
 	if w > 1 && driving.Len() >= MinOpRows {
 		return c.probeBatchParallel(t, driving, drivingLeft, w)
@@ -696,8 +695,7 @@ func (c *cJoin) assembleProbe(driving *rel.Batch, drivingLeft bool, G []int32, s
 }
 
 // probeBatchParallel chunks the driving rows; each worker probes with a
-// private clone and counter shard, merges happen in chunk order — the
-// batch analogue of probeParallel.
+// private clone and counter shard, merges happen in chunk order.
 func (c *cJoin) probeBatchParallel(t *storage.Handle, driving *rel.Batch, drivingLeft bool, w int) (*rel.Batch, error) {
 	spans := chunkSpans(driving.Len(), w)
 	type chunkOut struct {
@@ -750,7 +748,7 @@ func (c *cJoin) hashBatch(left, right *rel.Batch, w int) (*rel.Batch, error) {
 	}
 	ht := buildHashIdx(right, c.ridx)
 	gl, gr := c.hashProbeBatchRange(left, right, ht, 0, left.Len())
-	return c.assembleHash(left, right, gl, gr), nil
+	return c.assemblePairs(left, right, gl, gr), nil
 }
 
 func (c *cJoin) hashProbeBatchRange(left, right *rel.Batch, ht map[uint64][]int32, lo, hi int) ([]int32, []int32) {
@@ -784,7 +782,9 @@ func (c *cJoin) hashProbeBatchRange(left, right *rel.Batch, ht map[uint64][]int3
 	return gl, gr
 }
 
-func (c *cJoin) assembleHash(left, right *rel.Batch, gl, gr []int32) *rel.Batch {
+// assemblePairs lays out a join of two derived inputs: both sides
+// gathered by their match vectors, zero-copy.
+func (c *cJoin) assemblePairs(left, right *rel.Batch, gl, gr []int32) *rel.Batch {
 	out := &rel.Batch{Schema: c.sch, Cols: make([]rel.ColVec, c.lw+c.rw), N: len(gl)}
 	lg := left.GatherRows(gl)
 	rg := right.GatherRows(gr)
@@ -793,9 +793,9 @@ func (c *cJoin) assembleHash(left, right *rel.Batch, gl, gr []int32) *rel.Batch 
 	return out
 }
 
-// hashBatchParallel mirrors hashParallel: chunk-local digest maps merged
-// in chunk order (bucket row indices ascend, reproducing the sequential
-// build order), then a chunked probe concatenated in chunk order.
+// hashBatchParallel builds chunk-local digest maps merged in chunk order
+// (bucket row indices ascend, reproducing the sequential build order),
+// then runs a chunked probe concatenated in chunk order.
 func (c *cJoin) hashBatchParallel(left, right *rel.Batch, w int) (*rel.Batch, error) {
 	bspans := chunkSpans(right.Len(), w)
 	locals := make([]map[uint64][]int32, len(bspans))
@@ -827,33 +827,60 @@ func (c *cJoin) hashBatchParallel(left, right *rel.Batch, w int) (*rel.Batch, er
 		gl = append(gl, o.gl...)
 		gr = append(gr, o.gr...)
 	}
-	return c.assembleHash(left, right, gl, gr), nil
+	return c.assemblePairs(left, right, gl, gr), nil
+}
+
+// nestedBatch executes joinNested: every (left, right) row pair is tested
+// against the theta predicate in left-major order, Eval's nested loop.
+// Matches are emitted as gather-vector pairs like hashBatch.
+func (c *cJoin) nestedBatch(left, right *rel.Batch) *rel.Batch {
+	rrows := boxRows(right)
+	var gl, gr []int32
+	var lbuf rel.Tuple
+	for i := 0; i < left.Len(); i++ {
+		lbuf = left.Row(i, lbuf)
+		for j, rt := range rrows {
+			if c.pred.EvalBool(lbuf, rt) {
+				gl = append(gl, int32(i))
+				gr = append(gr, int32(j))
+			}
+		}
+	}
+	return c.assemblePairs(left, right, gl, gr)
+}
+
+// boxRows boxes every row of b once, for the pairwise predicate loops of
+// the nested strategies.
+func boxRows(b *rel.Batch) []rel.Tuple {
+	rows := make([]rel.Tuple, b.Len())
+	for i := range rows {
+		rows[i] = b.Row(i, nil)
+	}
+	return rows
 }
 
 // ---------------------------------------------------------------------------
 // Semijoin / antijoin kernels
 
-func (c *cSemi) runBatch(env Env, bs int) (*rel.Batch, error) {
-	if c.strategy == semiProbeLeft || c.strategy == semiNested {
-		// semiProbeLeft's key-dedup emission order and the nested loop
-		// gain nothing from columns; tuple fallback before any child runs.
-		r, err := c.run(env)
-		if err != nil {
-			return nil, err
-		}
-		return rel.FromRelation(r), nil
-	}
+func (c *cSemi) run(env Env) (*rel.Batch, error) {
 	var right *rel.Batch
 	var err error
 	if c.keysetFirst {
-		if right, err = runNodeBatch(c.right, env, bs); err != nil {
+		if right, err = c.right.run(env); err != nil {
 			return nil, err
 		}
 		if right.Len() == 0 {
 			return rel.NewBatch(c.sch), nil
 		}
 	}
-	left, err := runNodeBatch(c.left, env, bs)
+	if c.strategy == semiProbeLeft {
+		t, err := c.probe.resolve(env)
+		if err != nil {
+			return nil, err
+		}
+		return c.probeLeftBatch(t, right)
+	}
+	left, err := c.left.run(env)
 	if err != nil {
 		return nil, err
 	}
@@ -874,22 +901,86 @@ func (c *cSemi) runBatch(env Env, bs int) (*rel.Batch, error) {
 			return nil, err
 		}
 		return left.Gather(sel), nil
-	default: // semiHash
-		if right == nil {
-			if right, err = runNodeBatch(c.right, env, bs); err != nil {
-				return nil, err
+	}
+	if right == nil {
+		if right, err = c.right.run(env); err != nil {
+			return nil, err
+		}
+	}
+	if c.strategy == semiNested {
+		return left.Gather(c.nestedSel(left, right)), nil
+	}
+	// semiHash
+	ht := buildHashIdx(right, c.ridx)
+	if w := opWorkers(env); w > 1 && left.Len() >= MinOpRows {
+		return left.Gather(c.hashSelBatchParallel(left, right, ht, w)), nil
+	}
+	return left.Gather(c.hashSelBatchRange(left, right, ht, 0, left.Len())), nil
+}
+
+// probeLeftBatch executes semiProbeLeft: the stored left is probed once
+// per distinct non-NULL right key, in right-row order, and each matching
+// stored row is emitted once, on first match — Eval's probe-left loop,
+// with the keys read from the right batch's columns.
+func (c *cSemi) probeLeftBatch(t *storage.Handle, right *rel.Batch) (*rel.Batch, error) {
+	pr := c.probe
+	seenKey := map[string]bool{}
+	emitted := map[string]bool{}
+	var rows []rel.Tuple
+	buf := c.keyBuf
+	for i := 0; i < right.Len(); i++ {
+		for k, x := range c.ridx {
+			pr.valsBuf[k] = right.Cols[x].Value(i)
+		}
+		if hasNull(pr.valsBuf[:pr.nJoin]) {
+			continue
+		}
+		buf = rel.AppendTupleKey(buf[:0], pr.valsBuf[:pr.nJoin])
+		if seenKey[string(buf)] {
+			continue
+		}
+		seenKey[string(buf)] = true
+		matches, err := pr.lookup(t)
+		if err != nil {
+			return nil, err
+		}
+		for _, lt := range matches {
+			buf = rel.AppendTupleKey(buf[:0], lt)
+			if !emitted[string(buf)] {
+				emitted[string(buf)] = true
+				rows = append(rows, lt)
 			}
 		}
-		ht := buildHashIdx(right, c.ridx)
-		if w := opWorkers(env); w > 1 && left.Len() >= MinOpRows {
-			return left.Gather(c.hashSelBatchParallel(left, right, ht, w)), nil
-		}
-		return left.Gather(c.hashSelBatchRange(left, right, ht, 0, left.Len())), nil
 	}
+	c.keyBuf = buf
+	return rel.FromTuples(c.sch, rows), nil
+}
+
+// nestedSel executes semiNested: a left row is kept when some right row
+// satisfies the theta predicate (semijoin) or none does (antijoin). It
+// returns the kept rows as a selection vector.
+func (c *cSemi) nestedSel(left, right *rel.Batch) []int32 {
+	rrows := boxRows(right)
+	var sel []int32
+	var lbuf rel.Tuple
+	for i := 0; i < left.Len(); i++ {
+		lbuf = left.Row(i, lbuf)
+		matched := false
+		for _, rt := range rrows {
+			if c.pred.EvalBool(lbuf, rt) {
+				matched = true
+				break
+			}
+		}
+		if matched == c.keep {
+			sel = append(sel, int32(i))
+		}
+	}
+	return sel
 }
 
 // probeRightBatchRange decides keep/drop per left row by probing the
-// stored right — identical Handle calls to the tuple loop — and returns
+// stored right — identical Handle calls to Eval's probe loop — and returns
 // the kept rows as a selection vector.
 func (c *cSemi) probeRightBatchRange(t *storage.Handle, left *rel.Batch, pr *cProbe, lo, hi int) ([]int32, error) {
 	sel := make([]int32, 0, hi-lo)
@@ -1013,8 +1104,8 @@ type bGroup struct {
 	firstIdx int
 }
 
-func (c *cGroupBy) runBatch(env Env, bs int) (*rel.Batch, error) {
-	child, err := runNodeBatch(c.child, env, bs)
+func (c *cGroupBy) run(env Env) (*rel.Batch, error) {
+	child, err := c.child.run(env)
 	if err != nil {
 		return nil, err
 	}
@@ -1028,7 +1119,7 @@ func (c *cGroupBy) runBatch(env Env, bs int) (*rel.Batch, error) {
 // when route != nil) into groups in input order. A single uniform-int key
 // column uses an int64-keyed map — no key encoding, no string interning
 // per group; any other key shape groups by the canonical encoded key,
-// exactly the tuple-mode map. Group identity is Same-equality in both
+// exactly Eval's map. Group identity is Same-equality in both
 // paths (EncodeKey is injective w.r.t. Same, and a uniform VecInt column
 // contains only KindInt values, whose encodings collide with nothing
 // else in the column).
@@ -1130,11 +1221,16 @@ func (c *cGroupBy) emitGroups(groups []*bGroup) *rel.Batch {
 	return out
 }
 
-// groupBatchParallel is the batch analogue of groupParallel: rows are
-// routed to key partitions (every group folds wholly inside one
-// partition, in input order — float fold order preserved), partitions
-// fold in parallel, and the merged groups sort by global first
-// appearance.
+// maxGroupParts caps the key-partition count of the parallel γ so routing
+// tags fit a byte; more partitions than workers buys nothing anyway.
+const maxGroupParts = 64
+
+// groupBatchParallel executes cGroupBy by key-partitioned
+// pre-aggregation: rows are routed to key partitions (every group folds
+// wholly inside one partition, in input order — which keeps
+// non-associative float SUM/AVG byte-identical to the sequential fold),
+// partitions fold in parallel, and the merged groups sort by global first
+// appearance, the sequential group order.
 func (c *cGroupBy) groupBatchParallel(child *rel.Batch, w int) (*rel.Batch, error) {
 	np := w
 	if np > maxGroupParts {

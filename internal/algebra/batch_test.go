@@ -5,21 +5,11 @@ import (
 	"testing"
 
 	"idivm/internal/algebra"
+	"idivm/internal/db"
 	"idivm/internal/expr"
 	"idivm/internal/rel"
 	"idivm/internal/storage"
 )
-
-// batchEnv grants a base Env op-workers and a batch size, engaging the
-// columnar kernels in compiled plans.
-type batchEnv struct {
-	algebra.Env
-	w  int
-	bs int
-}
-
-func (e *batchEnv) OpWorkers() int { return e.w }
-func (e *batchEnv) BatchSize() int { return e.bs }
 
 // mixedKeys drives hash joins with repeats, misses, a NULL, and a kind
 // mix (Int + Float with equal numeric value) so the batch key columns
@@ -124,25 +114,70 @@ func batchPlans() map[string]algebra.Node {
 	}
 }
 
-// TestBatchMatchesTupleMode runs every plan in tuple mode (the oracle)
-// and in batch mode across batch sizes and worker counts, on mem and
-// sharded backends: rows must match in exact order and the access
-// counters must be byte-identical — batching is invisible to the cost
-// model.
+// smallKeys is a derived relation of 60 keys (repeats, a NULL, a Float
+// Same as an Int) small enough for the nested-loop strategies, whose cost
+// is the product of their input sizes.
+func smallKeys() *rel.Relation {
+	sch := rel.NewSchema([]string{"sk"}, nil)
+	r := rel.NewRelation(sch)
+	for i := 0; i < 60; i++ {
+		switch {
+		case i == 17:
+			r.Add(rel.Tuple{rel.Null()})
+		case i%11 == 0:
+			r.Add(rel.Tuple{rel.Float(float64(i * 37 % 3100))})
+		default:
+			r.Add(rel.Tuple{rel.Int(int64(i * 37 % 3100))})
+		}
+	}
+	return r
+}
+
+// workerModes are the execution modes every compiled run is checked in:
+// sequential kernels and four op-workers.
+var workerModes = []struct {
+	name string
+	w    int
+}{{"seq", 1}, {"op4", 4}}
+
+// matchesInterpreted runs plan interpreted (the oracle) and compiled in
+// every worker mode against base, requiring identical rows in identical
+// order and byte-identical access counters.
+func matchesInterpreted(t *testing.T, d *db.Database, base algebra.Env, name string, plan algebra.Node) {
+	t.Helper()
+	compiled, err := algebra.Compile(plan)
+	if err != nil {
+		t.Fatalf("compile: %v", err)
+	}
+	d.Counter().Reset()
+	ref, err := algebra.Eval(plan, base)
+	if err != nil {
+		t.Fatalf("interpreted run: %v", err)
+	}
+	refCost := *d.Counter()
+	for _, m := range workerModes {
+		d.Counter().Reset()
+		got, err := compiled.Run(&opEnv{Env: base, w: m.w})
+		if err != nil {
+			t.Fatalf("%s run: %v", m.name, err)
+		}
+		if cost := *d.Counter(); cost != refCost {
+			t.Fatalf("%s: counters differ: interpreted %v, compiled %v", m.name, refCost, cost)
+		}
+		sameOrderedRelation(t, name+"/"+m.name, ref, got)
+	}
+}
+
+// TestBatchMatchesTupleMode runs every plan through the tuple-at-a-time
+// interpreted evaluator (the oracle) and through the compiled columnar
+// kernels, sequentially and with op-workers, on mem and sharded backends:
+// rows must match in exact order and the access counters must be
+// byte-identical — batching is invisible to the cost model.
 func TestBatchMatchesTupleMode(t *testing.T) {
 	plans := batchPlans()
 	engines := map[string]func() storage.Engine{
 		"mem":      storage.NewMem,
 		"sharded8": func() storage.Engine { return storage.NewSharded(8) },
-	}
-	modes := []struct {
-		name string
-		w    int
-		bs   int
-	}{
-		{"b64", 1, 64},
-		{"b1024", 1, 1024},
-		{"b1024-op4", 4, 1024},
 	}
 	for engName, mk := range engines {
 		t.Run(engName, func(t *testing.T) {
@@ -150,43 +185,87 @@ func TestBatchMatchesTupleMode(t *testing.T) {
 			base := &bindEnv{Database: d, rels: map[string]*rel.Relation{"keys": mixedKeys()}}
 			for name, plan := range plans {
 				t.Run(name, func(t *testing.T) {
-					compiled, err := algebra.Compile(plan)
-					if err != nil {
-						t.Fatalf("compile: %v", err)
-					}
-					d.Counter().Reset()
-					ref, err := compiled.Run(&batchEnv{Env: base, w: 1, bs: 0})
-					if err != nil {
-						t.Fatalf("tuple run: %v", err)
-					}
-					refCost := *d.Counter()
-					for _, m := range modes {
-						d.Counter().Reset()
-						got, err := compiled.Run(&batchEnv{Env: base, w: m.w, bs: m.bs})
-						if err != nil {
-							t.Fatalf("%s run: %v", m.name, err)
-						}
-						if cost := *d.Counter(); cost != refCost {
-							t.Fatalf("%s: counters differ: tuple %v, batch %v", m.name, refCost, cost)
-						}
-						sameOrderedRelation(t, name+"/"+m.name, ref, got)
-					}
+					matchesInterpreted(t, d, base, name, plan)
 				})
 			}
 		})
 	}
 }
 
-// TestBatchReuseAcrossRuns re-runs one compiled plan with interleaved
-// tuple/batch modes and worker counts: compiled plans are shared state,
-// so scratch leaking between modes or workers shows up as drift (and as
-// a data race under -race).
+// TestPortedStrategiesMatchInterpreted covers the three strategies whose
+// kernels need a row view of their inputs: the nested-loop theta join,
+// the probe-left semijoin (distinct right keys probe the stored left,
+// each stored row emitted once) and the nested-loop semi/antijoin. Each
+// plan's root compiles to the strategy its name starts with (the shapes
+// are pinned by TestPortedStrategiesPinned) and must reproduce the
+// interpreted rows, row order and access counters on mem and sharded:8,
+// sequentially and with op-workers.
+func TestPortedStrategiesMatchInterpreted(t *testing.T) {
+	sch := rel.NewSchema([]string{"k", "grp", "val"}, []string{"k"})
+	scan := func() algebra.Node { return algebra.NewScan("big", "", sch) }
+	keySch := rel.NewSchema([]string{"jk"}, nil)
+	keys := func() algebra.Node { return algebra.NewRelRef("keys", keySch) }
+	small := func() algebra.Node { return algebra.NewRelRef("small", rel.NewSchema([]string{"sk"}, nil)) }
+	band := func() expr.Expr { // big.k in [sk, sk+3): a non-equi band
+		return expr.And(
+			expr.Ge(expr.C("big.k"), expr.C("sk")),
+			expr.Lt(expr.C("big.k"), expr.AddE(expr.C("sk"), expr.IntLit(3))))
+	}
+	plans := []struct {
+		name string
+		plan algebra.Node
+	}{
+		{"join-nested", algebra.NewJoin(small(), scan(), band())},
+		{"join-nested-stored-left", algebra.NewJoin(scan(), small(), band())},
+		{"join-nested-filtered-right", algebra.NewJoin(small(),
+			algebra.NewSelect(scan(), expr.Lt(expr.C("big.grp"), expr.IntLit(2))),
+			expr.Gt(expr.C("sk"), expr.MulE(expr.C("big.k"), expr.IntLit(20))))},
+		{"semi-probe-left", algebra.NewSemiJoin(scan(), keys(),
+			expr.Eq(expr.C("big.k"), expr.C("jk")))},
+		{"semi-probe-left-residual", algebra.NewSemiJoin(
+			algebra.NewSelect(scan(), expr.And(
+				expr.Eq(expr.C("big.grp"), expr.IntLit(4)),
+				expr.Gt(expr.C("big.val"), expr.IntLit(20)))),
+			keys(), expr.Eq(expr.C("big.k"), expr.C("jk")))},
+		{"semi-probe-left-dup-keys", algebra.NewSemiJoin(scan(),
+			algebra.NewUnionAll(keys(), keys(), "b"), // every key twice
+			expr.Eq(expr.C("big.k"), expr.C("jk")))},
+		{"semi-nested", algebra.NewSemiJoin(scan(), small(), band())},
+		{"anti-nested", algebra.NewAntiJoin(scan(), small(), band())},
+		{"anti-nested-stored-right", algebra.NewAntiJoin(small(), scan(),
+			expr.Lt(expr.MulE(expr.C("sk"), expr.IntLit(2)), expr.C("big.grp")))},
+	}
+	engines := map[string]func() storage.Engine{
+		"mem":      storage.NewMem,
+		"sharded8": func() storage.Engine { return storage.NewSharded(8) },
+	}
+	for engName, mk := range engines {
+		t.Run(engName, func(t *testing.T) {
+			d := bigDB(t, mk())
+			base := &bindEnv{Database: d, rels: map[string]*rel.Relation{
+				"keys": mixedKeys(), "small": smallKeys()}}
+			for _, p := range plans {
+				t.Run(p.name, func(t *testing.T) {
+					matchesInterpreted(t, d, base, p.name, p.plan)
+				})
+			}
+		})
+	}
+}
+
+// TestBatchReuseAcrossRuns re-runs one compiled plan built from the
+// scratch-holding strategies (probe-left semijoin key buffer, probe
+// clones, nested loops) with interleaved worker counts: compiled plans
+// are shared state, so scratch leaking between runs or workers shows up
+// as drift from the interpreted result (and as a data race under -race).
 func TestBatchReuseAcrossRuns(t *testing.T) {
 	sch := rel.NewSchema([]string{"k", "grp", "val"}, []string{"k"})
+	semi := algebra.NewSemiJoin(algebra.NewScan("big", "", sch),
+		algebra.NewRelRef("keys", rel.NewSchema([]string{"jk"}, nil)),
+		expr.Eq(expr.C("big.k"), expr.C("jk")))
 	plan := algebra.NewGroupBy(
-		algebra.NewJoin(algebra.NewRelRef("keys", rel.NewSchema([]string{"jk"}, nil)),
-			algebra.NewScan("big", "", sch),
-			expr.Eq(expr.C("jk"), expr.C("big.k"))),
+		algebra.NewJoin(algebra.NewRelRef("small", rel.NewSchema([]string{"sk"}, nil)), semi,
+			expr.Lt(expr.C("big.k"), expr.C("sk"))),
 		[]string{"big.grp"},
 		[]algebra.Agg{{Fn: algebra.AggSum, Arg: expr.C("big.val"), As: "s"}})
 	compiled, err := algebra.Compile(plan)
@@ -194,19 +273,16 @@ func TestBatchReuseAcrossRuns(t *testing.T) {
 		t.Fatal(err)
 	}
 	d := bigDB(t, storage.NewSharded(4))
-	base := &bindEnv{Database: d, rels: map[string]*rel.Relation{"keys": mixedKeys()}}
-	ref, err := compiled.Run(&batchEnv{Env: base, w: 1, bs: 0})
+	base := &bindEnv{Database: d, rels: map[string]*rel.Relation{"keys": mixedKeys(), "small": smallKeys()}}
+	ref, err := algebra.Eval(plan, base)
 	if err != nil {
 		t.Fatal(err)
 	}
-	runs := []struct{ w, bs int }{
-		{1, 64}, {4, 1024}, {1, 0}, {8, 64}, {4, 0}, {1, 1024},
-	}
-	for _, r := range runs {
-		got, err := compiled.Run(&batchEnv{Env: base, w: r.w, bs: r.bs})
+	for _, w := range []int{1, 4, 1, 8, 4, 1} {
+		got, err := compiled.Run(&opEnv{Env: base, w: w})
 		if err != nil {
-			t.Fatalf("w=%d bs=%d: %v", r.w, r.bs, err)
+			t.Fatalf("w=%d: %v", w, err)
 		}
-		sameOrderedRelation(t, fmt.Sprintf("w=%d bs=%d", r.w, r.bs), ref, got)
+		sameOrderedRelation(t, fmt.Sprintf("w=%d", w), ref, got)
 	}
 }

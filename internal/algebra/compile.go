@@ -6,24 +6,25 @@
 // the executor runs the compiled form every maintenance round; Eval stays
 // as the reference oracle.
 //
-// The compiled and interpreted paths are built from the same shape
-// analysis (shapeOf) and the same selection split (expr.EqLiterals), and
-// charge stored accesses through the same Table entry points, so for every
-// plan they perform identical stored accesses: state, reports and access
-// counters match tuple-for-tuple. The differential suite in internal/ivm
-// asserts this on randomized plans.
+// A compiled plan executes through the columnar kernels of batch.go: it
+// moves column vectors (rel.Batch) between operators and materializes
+// tuples only at the root. The compiled and interpreted paths are built
+// from the same shape analysis (shapeOf) and the same selection split
+// (expr.EqLiterals), and charge stored accesses through the same Table
+// entry points, so for every plan they perform identical stored accesses:
+// state, reports and access counters match tuple-for-tuple. The
+// differential suite in internal/ivm asserts this on randomized plans.
 //
 // An ExecPlan owns mutable probe scratch (key-encoding buffers, probe
 // result buffers), so a single ExecPlan must not be Run concurrently with
-// itself. The Δ-script executor satisfies this: each step runs at most
-// once per round, and concurrently scheduled steps hold distinct plans.
+// itself. The Δ-script executor satisfies this: it runs a script's steps
+// one at a time, and each step runs at most once per round.
 //
-// When the environment implements OpParallelEnv (pool.go) the hot
-// strategies additionally run partition-parallel kernels (kernels.go):
-// parts or chunks are processed by a bounded worker pool, each worker on
-// private scratch and a private counter shard, and merged in a fixed
-// order — output, reports and counters stay byte-identical to the
-// sequential run.
+// When the environment implements OpParallelEnv (pool.go) the hot kernels
+// additionally run partition-parallel: chunks or parts are processed by a
+// bounded worker pool, each worker on private scratch and a private
+// counter shard, and merged in a fixed order — output, reports and
+// counters stay byte-identical to the sequential run.
 package algebra
 
 import (
@@ -64,26 +65,27 @@ func MustCompile(n Node) *ExecPlan {
 // Schema returns the plan's output schema.
 func (p *ExecPlan) Schema() rel.Schema { return p.sch }
 
+// materializeChunk is the arena chunk, in rows, of the root
+// materialization: output tuples are laid out this many at a time in one
+// backing array.
+const materializeChunk = 1024
+
 // Run executes the compiled plan against an environment. Stored tables are
 // resolved through env on every run, so WithCounter sharding keeps working:
-// the plan pins strategies, not table handles or counters. When the
-// environment requests a positive BatchSize, the plan runs through the
-// columnar kernels (batch.go) and materializes tuples only here, at the
-// root — storage access and charging are identical either way.
+// the plan pins strategies, not table handles or counters. Operators pass
+// column batches to each other; tuples are materialized only here, at the
+// root.
 func (p *ExecPlan) Run(env Env) (*rel.Relation, error) {
-	if bs := batchSize(env); bs > 0 {
-		b, err := runNodeBatch(p.root, env, bs)
-		if err != nil {
-			return nil, err
-		}
-		return b.Materialize(bs), nil
+	b, err := p.root.run(env)
+	if err != nil {
+		return nil, err
 	}
-	return p.root.run(env)
+	return b.Materialize(materializeChunk), nil
 }
 
-// cNode is one compiled operator.
+// cNode is one compiled operator: a columnar kernel (batch.go).
 type cNode interface {
-	run(env Env) (*rel.Relation, error)
+	run(env Env) (*rel.Batch, error)
 }
 
 func compileNode(n Node) (cNode, error) {
@@ -105,15 +107,11 @@ func compileNode(n Node) (cNode, error) {
 		if err != nil {
 			return nil, err
 		}
-		pred, err := expr.Compile(x.Pred, x.Child.Schema())
+		pred, err := compileBatchPred(x.Pred, x.Child.Schema())
 		if err != nil {
 			return nil, err
 		}
-		bpred, err := compileBatchPred(x.Pred, x.Child.Schema())
-		if err != nil {
-			return nil, err
-		}
-		return &cSelect{child: child, pred: pred, bpred: bpred, sch: x.Child.Schema()}, nil
+		return &cSelect{child: child, pred: pred}, nil
 	case *Project:
 		return compileProject(x)
 	case *Join:
@@ -131,25 +129,11 @@ func compileNode(n Node) (cNode, error) {
 	}
 }
 
-// cStored scans a stored table (Scan or stored RelRef leaf). The result
-// aliases table storage copy-on-write, exactly like the interpreted leaf.
+// cStored scans a stored table (Scan or stored RelRef leaf).
 type cStored struct {
 	table string
 	st    rel.State
 	sch   rel.Schema
-}
-
-func (c *cStored) run(env Env) (*rel.Relation, error) {
-	t, err := env.Table(c.table)
-	if err != nil {
-		return nil, err
-	}
-	if w := opWorkers(env); w > 1 {
-		if out, ok := scanPartsParallel(c.sch, t, c.st, w); ok {
-			return out, nil
-		}
-	}
-	return aliasTuples(c.sch, t.Scan(c.st)), nil
 }
 
 // cBinding reads a named in-memory relation.
@@ -158,38 +142,12 @@ type cBinding struct {
 	sch  rel.Schema
 }
 
-func (c *cBinding) run(env Env) (*rel.Relation, error) {
-	rr, err := env.Rel(c.name)
-	if err != nil {
-		return nil, err
-	}
-	return aliasTuples(c.sch, rr.Tuples), nil
-}
-
 type cEmpty struct{ sch rel.Schema }
-
-func (c *cEmpty) run(Env) (*rel.Relation, error) { return rel.NewRelation(c.sch), nil }
 
 // cSelect filters a derived child with a precompiled predicate.
 type cSelect struct {
 	child cNode
-	pred  *expr.Compiled
-	bpred *bPred // batch-specialized form of pred
-	sch   rel.Schema
-}
-
-func (c *cSelect) run(env Env) (*rel.Relation, error) {
-	child, err := c.child.run(env)
-	if err != nil {
-		return nil, err
-	}
-	out := rel.NewRelation(c.sch)
-	for _, t := range child.Tuples {
-		if c.pred.EvalBool(t) {
-			out.Add(t)
-		}
-	}
-	return out, nil
+	pred  *bPred
 }
 
 // cStoredSelect runs a σ-chain over a stored leaf with the same
@@ -206,21 +164,17 @@ type cStoredSelect struct {
 	eqVals   []rel.Value
 	prep     rel.PrepLookup
 	residual *expr.Compiled // after removing the eq literals; nil when TRUE
-	full     *expr.Compiled // the whole predicate, for the scan path
-	bfull    *bPred         // batch-specialized form of full
+	full     *bPred         // the whole predicate, for the scan path
 	keyBuf   []byte
 }
 
 func compileStoredSelect(sh *probeShape) (cNode, error) {
 	cols, vals, residual := expr.EqLiterals(sh.extra, sh.schema)
-	full, err := expr.Compile(sh.extra, sh.schema)
+	full, err := compileBatchPred(sh.extra, sh.schema)
 	if err != nil {
 		return nil, err
 	}
 	c := &cStoredSelect{table: sh.table, st: sh.st, sch: sh.schema, eqVals: vals, full: full}
-	if c.bfull, err = compileBatchPred(sh.extra, sh.schema); err != nil {
-		return nil, err
-	}
 	if len(cols) > 0 {
 		c.eqBare = make([]string, len(cols))
 		for i, col := range cols {
@@ -236,53 +190,8 @@ func compileStoredSelect(sh *probeShape) (cNode, error) {
 	return c, nil
 }
 
-func (c *cStoredSelect) run(env Env) (*rel.Relation, error) {
-	t, err := env.Table(c.table)
-	if err != nil {
-		return nil, err
-	}
-	if len(c.eqBare) > 0 {
-		p, n, err := t.IndexCard(c.st, c.eqBare, c.eqVals)
-		if err != nil {
-			return nil, err
-		}
-		if p+1 < n {
-			// The result slice is retained by the output relation, so it is
-			// freshly allocated; only the key buffer is reused across runs.
-			rows, keyBuf, err := t.LookupInto(c.st, c.prep, c.eqVals, c.keyBuf, make([]rel.Tuple, 0, p))
-			c.keyBuf = keyBuf
-			if err != nil {
-				return nil, err
-			}
-			if c.residual == nil {
-				return aliasTuples(c.sch, rows), nil
-			}
-			out := rel.NewRelation(c.sch)
-			for _, r := range rows {
-				if c.residual.EvalBool(r) {
-					out.Add(r)
-				}
-			}
-			return out, nil
-		}
-	}
-	if w := opWorkers(env); w > 1 {
-		if out, ok := c.scanFilterParallel(t, w); ok {
-			return out, nil
-		}
-	}
-	out := rel.NewRelation(c.sch)
-	for _, r := range t.Scan(c.st) {
-		if c.full.EvalBool(r) {
-			out.Add(r)
-		}
-	}
-	return out, nil
-}
-
-// cProject applies precompiled projection expressions, laying output
-// tuples out in one backing array per run instead of one allocation per
-// tuple.
+// cProject applies precompiled projection expressions; plain column
+// references alias the child's vectors.
 type cProject struct {
 	items  []*expr.Compiled
 	colIdx []int // child column position for plain Col items, -1 otherwise
@@ -310,43 +219,6 @@ func compileProject(p *Project) (cNode, error) {
 		}
 	}
 	return &cProject{items: items, colIdx: colIdx, child: child, sch: p.Schema()}, nil
-}
-
-func (c *cProject) run(env Env) (*rel.Relation, error) {
-	child, err := c.child.run(env)
-	if err != nil {
-		return nil, err
-	}
-	w := len(c.items)
-	out := rel.NewRelation(c.sch)
-	out.Tuples = make([]rel.Tuple, 0, len(child.Tuples))
-	backing := make([]rel.Value, len(child.Tuples)*w)
-	for _, t := range child.Tuples {
-		nt := backing[:w:w]
-		backing = backing[w:]
-		for i, item := range c.items {
-			nt[i] = item.Eval(t)
-		}
-		out.Tuples = append(out.Tuples, nt)
-	}
-	return out, nil
-}
-
-// tupleArena batch-allocates fixed-width output tuples. It is created per
-// run: its chunks are retained by the emitted relation.
-type tupleArena struct {
-	w   int
-	buf []rel.Value
-}
-
-func (a *tupleArena) next() rel.Tuple {
-	if len(a.buf) < a.w {
-		n := 256 * a.w
-		a.buf = make([]rel.Value, n)
-	}
-	t := a.buf[:a.w:a.w]
-	a.buf = a.buf[a.w:]
-	return t
 }
 
 // cProbe is a compiled probeTarget: the full probe attribute list (join
@@ -419,6 +291,24 @@ func (p *cProbe) lookup(t *storage.Handle) ([]rel.Tuple, error) {
 	return kept, nil
 }
 
+// clone derives a worker-private probe: the immutable prepared state
+// (signature, literal values, residual predicate) is shared, the mutable
+// scratch (value/key/result buffers) is fresh. An ExecPlan owns its
+// scratch, so concurrent probes must each hold a clone.
+func (p *cProbe) clone() *cProbe {
+	q := &cProbe{
+		table:    p.table,
+		st:       p.st,
+		prep:     p.prep,
+		nJoin:    p.nJoin,
+		litVals:  p.litVals,
+		residual: p.residual,
+		valsBuf:  make([]rel.Value, p.nJoin+len(p.litVals)),
+	}
+	copy(q.valsBuf[p.nJoin:], p.litVals)
+	return q
+}
+
 // join strategies, pinned at compile time.
 type joinStrategy uint8
 
@@ -443,12 +333,11 @@ type cJoin struct {
 	shortLeft  bool
 	shortRight bool
 	sch        rel.Schema
-	lw, rw     int // child widths, for output tuple layout
-	keyBuf     []byte
+	lw, rw     int // child widths, for output layout
 
 	// heavy is the per-round heavy-lane cache (skew.go): probe results for
 	// driving keys whose stored-side frequency crossed the SkewThreshold.
-	// Rebuilt by prepareHeavy/prepareHeavyBatch before each probe round;
+	// Rebuilt by prepareHeavy before each probe round;
 	// nil whenever the heavy lane is off. Read-only once the probe loops
 	// (including parallel workers) start.
 	heavy map[string][]rel.Tuple
@@ -524,143 +413,6 @@ func compileJoin(j *Join) (cNode, error) {
 		return nil, err
 	}
 	return c, nil
-}
-
-func (c *cJoin) run(env Env) (*rel.Relation, error) {
-	// Diff-driven short-circuit: evaluate the stored-free side first; an
-	// empty diff makes the join free. The result is reused below — that
-	// side charges nothing, so charges match the interpreted re-evaluation.
-	var left, right *rel.Relation
-	var err error
-	if c.shortLeft && c.left != nil {
-		if left, err = c.left.run(env); err != nil {
-			return nil, err
-		}
-		if left.Len() == 0 {
-			return rel.NewRelation(c.sch), nil
-		}
-	} else if c.shortRight && c.right != nil {
-		if right, err = c.right.run(env); err != nil {
-			return nil, err
-		}
-		if right.Len() == 0 {
-			return rel.NewRelation(c.sch), nil
-		}
-	}
-	if c.left != nil && left == nil {
-		if left, err = c.left.run(env); err != nil {
-			return nil, err
-		}
-	}
-	if c.right != nil && right == nil {
-		if right, err = c.right.run(env); err != nil {
-			return nil, err
-		}
-	}
-
-	out := rel.NewRelation(c.sch)
-	arena := tupleArena{w: c.lw + c.rw}
-	emit := func(lt, rt rel.Tuple) {
-		nt := arena.next()
-		copy(nt, lt)
-		copy(nt[c.lw:], rt)
-		out.Tuples = append(out.Tuples, nt)
-	}
-
-	switch c.strategy {
-	case joinProbeRight:
-		t, err := c.probe.resolve(env)
-		if err != nil {
-			return nil, err
-		}
-		if err := c.prepareHeavy(env, t, left.Tuples, true); err != nil {
-			return nil, err
-		}
-		if w := opWorkers(env); w > 1 && len(left.Tuples) >= MinOpRows {
-			return c.probeParallel(t, left.Tuples, true, w)
-		}
-		for _, lt := range left.Tuples {
-			for i, x := range c.lidx {
-				c.probe.valsBuf[i] = lt[x]
-			}
-			if hasNull(c.probe.valsBuf[:c.probe.nJoin]) {
-				continue
-			}
-			rows, cached := c.heavyLookup(c.probe)
-			if !cached {
-				if rows, err = c.probe.lookup(t); err != nil {
-					return nil, err
-				}
-			}
-			for _, rt := range rows {
-				if c.residual == nil || c.residual.EvalBool(lt, rt) {
-					emit(lt, rt)
-				}
-			}
-		}
-		return out, nil
-	case joinProbeLeft:
-		t, err := c.probe.resolve(env)
-		if err != nil {
-			return nil, err
-		}
-		if err := c.prepareHeavy(env, t, right.Tuples, false); err != nil {
-			return nil, err
-		}
-		if w := opWorkers(env); w > 1 && len(right.Tuples) >= MinOpRows {
-			return c.probeParallel(t, right.Tuples, false, w)
-		}
-		for _, rt := range right.Tuples {
-			for i, x := range c.ridx {
-				c.probe.valsBuf[i] = rt[x]
-			}
-			if hasNull(c.probe.valsBuf[:c.probe.nJoin]) {
-				continue
-			}
-			rows, cached := c.heavyLookup(c.probe)
-			if !cached {
-				if rows, err = c.probe.lookup(t); err != nil {
-					return nil, err
-				}
-			}
-			for _, lt := range rows {
-				if c.residual == nil || c.residual.EvalBool(lt, rt) {
-					emit(lt, rt)
-				}
-			}
-		}
-		return out, nil
-	case joinHash:
-		if w := opWorkers(env); w > 1 && len(left.Tuples)+len(right.Tuples) >= MinOpRows {
-			return c.hashParallel(left.Tuples, right.Tuples, w)
-		}
-		buckets := make(map[string][]rel.Tuple, len(right.Tuples))
-		buf := c.keyBuf
-		for _, rt := range right.Tuples {
-			buf = rel.AppendKey(buf[:0], rt, c.ridx)
-			k := string(buf)
-			buckets[k] = append(buckets[k], rt)
-		}
-		for _, lt := range left.Tuples {
-			buf = rel.AppendKey(buf[:0], lt, c.lidx)
-			for _, rt := range buckets[string(buf)] {
-				if c.residual == nil || c.residual.EvalBool(lt, rt) {
-					emit(lt, rt)
-				}
-			}
-		}
-		c.keyBuf = buf
-		return out, nil
-	default: // joinNested
-		for _, lt := range left.Tuples {
-			for _, rt := range right.Tuples {
-				if c.pred.EvalBool(lt, rt) {
-					emit(lt, rt)
-				}
-			}
-		}
-		return out, nil
-	}
 }
 
 // semijoin strategies, pinned at compile time (they mirror evalSemi's
@@ -753,137 +505,6 @@ func compileSemi(l, r Node, p expr.Expr, keep bool) (cNode, error) {
 	return c, nil
 }
 
-func (c *cSemi) run(env Env) (*rel.Relation, error) {
-	var right *rel.Relation
-	var err error
-	if c.keysetFirst {
-		if right, err = c.right.run(env); err != nil {
-			return nil, err
-		}
-		if right.Len() == 0 {
-			return rel.NewRelation(c.sch), nil
-		}
-	}
-
-	if c.strategy == semiProbeLeft {
-		t, err := c.probe.resolve(env)
-		if err != nil {
-			return nil, err
-		}
-		out := rel.NewRelation(c.sch)
-		seenKey := map[string]bool{}
-		emitted := map[string]bool{}
-		buf := c.keyBuf
-		for _, rt := range right.Tuples {
-			for i, x := range c.ridx {
-				c.probe.valsBuf[i] = rt[x]
-			}
-			if hasNull(c.probe.valsBuf[:c.probe.nJoin]) {
-				continue
-			}
-			buf = rel.AppendTupleKey(buf[:0], c.probe.valsBuf[:c.probe.nJoin])
-			if seenKey[string(buf)] {
-				continue
-			}
-			seenKey[string(buf)] = true
-			rows, err := c.probe.lookup(t)
-			if err != nil {
-				return nil, err
-			}
-			for _, lt := range rows {
-				buf = rel.AppendTupleKey(buf[:0], lt)
-				if !emitted[string(buf)] {
-					emitted[string(buf)] = true
-					out.Add(lt)
-				}
-			}
-		}
-		c.keyBuf = buf
-		return out, nil
-	}
-
-	left, err := c.left.run(env)
-	if err != nil {
-		return nil, err
-	}
-	out := rel.NewRelation(c.sch)
-	if left.Len() == 0 {
-		return out, nil
-	}
-
-	switch c.strategy {
-	case semiProbeRight:
-		t, err := c.probe.resolve(env)
-		if err != nil {
-			return nil, err
-		}
-		if w := opWorkers(env); w > 1 && len(left.Tuples) >= MinOpRows {
-			return c.probeRightParallel(t, left.Tuples, w)
-		}
-		for _, lt := range left.Tuples {
-			for i, x := range c.lidx {
-				c.probe.valsBuf[i] = lt[x]
-			}
-			matched := false
-			if !hasNull(c.probe.valsBuf[:c.probe.nJoin]) {
-				rows, err := c.probe.lookup(t)
-				if err != nil {
-					return nil, err
-				}
-				matched = c.anyMatch(lt, rows)
-			}
-			if matched == c.keep {
-				out.Add(lt)
-			}
-		}
-		return out, nil
-	case semiHash:
-		if right == nil {
-			if right, err = c.right.run(env); err != nil {
-				return nil, err
-			}
-		}
-		buckets := make(map[string][]rel.Tuple, len(right.Tuples))
-		buf := c.keyBuf
-		for _, rt := range right.Tuples {
-			buf = rel.AppendKey(buf[:0], rt, c.ridx)
-			k := string(buf)
-			buckets[k] = append(buckets[k], rt)
-		}
-		if w := opWorkers(env); w > 1 && len(left.Tuples) >= MinOpRows {
-			c.keyBuf = buf
-			return c.hashProbeParallel(left.Tuples, buckets, w), nil
-		}
-		for _, lt := range left.Tuples {
-			buf = rel.AppendKey(buf[:0], lt, c.lidx)
-			if c.anyMatch(lt, buckets[string(buf)]) == c.keep {
-				out.Add(lt)
-			}
-		}
-		c.keyBuf = buf
-		return out, nil
-	default: // semiNested
-		if right == nil {
-			if right, err = c.right.run(env); err != nil {
-				return nil, err
-			}
-		}
-		for _, lt := range left.Tuples {
-			matched := false
-			for _, rt := range right.Tuples {
-				if c.pred.EvalBool(lt, rt) {
-					matched = true
-					break
-				}
-			}
-			if matched == c.keep {
-				out.Add(lt)
-			}
-		}
-		return out, nil
-	}
-}
-
 func (c *cSemi) anyMatch(lt rel.Tuple, rows []rel.Tuple) bool {
 	for _, rt := range rows {
 		if c.residual == nil || c.residual.EvalBool(lt, rt) {
@@ -903,7 +524,6 @@ type cGroupBy struct {
 	args   []*expr.Compiled // nil entry means COUNT(*)
 	argIdx []int            // argStar, argComplex, or a plain column position
 	sch    rel.Schema
-	keyBuf []byte
 }
 
 func compileGroupBy(g *GroupBy) (cNode, error) {
@@ -938,62 +558,8 @@ func compileGroupBy(g *GroupBy) (cNode, error) {
 	return &cGroupBy{child: child, keyIdx: keyIdx, fns: fns, args: args, argIdx: argIdx, sch: g.Schema()}, nil
 }
 
-func (c *cGroupBy) run(env Env) (*rel.Relation, error) {
-	child, err := c.child.run(env)
-	if err != nil {
-		return nil, err
-	}
-	if w := opWorkers(env); w > 1 && len(child.Tuples) >= MinOpRows {
-		return c.groupParallel(child.Tuples, w)
-	}
-	type group struct {
-		keyVals rel.Tuple
-		states  []aggState
-	}
-	byKey := make(map[string]*group)
-	var order []*group
-	buf := c.keyBuf
-	for _, t := range child.Tuples {
-		buf = rel.AppendKey(buf[:0], t, c.keyIdx)
-		grp, ok := byKey[string(buf)]
-		if !ok {
-			kv := make(rel.Tuple, len(c.keyIdx))
-			for i, j := range c.keyIdx {
-				kv[i] = t[j]
-			}
-			states := make([]aggState, len(c.fns))
-			for i, fn := range c.fns {
-				states[i] = aggState{fn: fn, sum: rel.Null(), best: rel.Null()}
-			}
-			grp = &group{keyVals: kv, states: states}
-			byKey[string(buf)] = grp
-			order = append(order, grp)
-		}
-		for i := range c.fns {
-			if c.args[i] == nil {
-				grp.states[i].add(rel.Null(), true)
-			} else {
-				grp.states[i].add(c.args[i].Eval(t), false)
-			}
-		}
-	}
-	c.keyBuf = buf
-	out := rel.NewRelation(c.sch)
-	w := len(c.keyIdx) + len(c.fns)
-	backing := make([]rel.Value, len(order)*w)
-	for _, grp := range order {
-		nt := backing[:w:w]
-		backing = backing[w:]
-		copy(nt, grp.keyVals)
-		for i := range grp.states {
-			nt[len(c.keyIdx)+i] = grp.states[i].result()
-		}
-		out.Add(nt)
-	}
-	return out, nil
-}
-
-// cUnion appends the branch attribute while copying, like evalUnion.
+// cUnion concatenates its inputs and appends the branch attribute, like
+// evalUnion.
 type cUnion struct {
 	left, right cNode
 	sch         rel.Schema
@@ -1010,31 +576,4 @@ func compileUnion(u *UnionAll) (cNode, error) {
 		return nil, err
 	}
 	return &cUnion{left: left, right: right, sch: u.Schema(), w: len(u.Left.Schema().Attrs)}, nil
-}
-
-func (c *cUnion) run(env Env) (*rel.Relation, error) {
-	left, err := c.left.run(env)
-	if err != nil {
-		return nil, err
-	}
-	right, err := c.right.run(env)
-	if err != nil {
-		return nil, err
-	}
-	out := rel.NewRelation(c.sch)
-	out.Tuples = make([]rel.Tuple, 0, len(left.Tuples)+len(right.Tuples))
-	arena := tupleArena{w: c.w + 1}
-	emit := func(t rel.Tuple, branch rel.Value) {
-		nt := arena.next()
-		copy(nt, t)
-		nt[c.w] = branch
-		out.Tuples = append(out.Tuples, nt)
-	}
-	for _, t := range left.Tuples {
-		emit(t, rel.Int(0))
-	}
-	for _, t := range right.Tuples {
-		emit(t, rel.Int(1))
-	}
-	return out, nil
 }

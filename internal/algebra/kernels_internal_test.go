@@ -4,6 +4,7 @@ import (
 	"sync/atomic"
 	"testing"
 
+	"idivm/internal/expr"
 	"idivm/internal/rel"
 )
 
@@ -96,5 +97,43 @@ func TestProbeCloneSharesPrepNotScratch(t *testing.T) {
 	}
 	if q.keyBuf != nil || q.rowsBuf != nil {
 		t.Fatalf("clone must start with empty scratch, got keyBuf=%v rowsBuf=%v", q.keyBuf, q.rowsBuf)
+	}
+}
+
+// TestPortedStrategiesPinned pins the plan shapes of
+// TestPortedStrategiesMatchInterpreted to the strategies they exercise:
+// a theta join compiles to joinNested, a semijoin of a stored left
+// against a derived equi key set to semiProbeLeft, and a theta semi- or
+// antijoin to semiNested.
+func TestPortedStrategiesPinned(t *testing.T) {
+	scan := NewScan("big", "", rel.NewSchema([]string{"k", "grp", "val"}, []string{"k"}))
+	keys := NewRelRef("keys", rel.NewSchema([]string{"jk"}, nil))
+	small := NewRelRef("small", rel.NewSchema([]string{"sk"}, nil))
+	theta := expr.Lt(expr.C("big.k"), expr.C("sk"))
+	joins := map[string]struct {
+		plan Node
+		want joinStrategy
+	}{
+		"join-nested":             {NewJoin(small, scan, theta), joinNested},
+		"join-nested-stored-left": {NewJoin(scan, small, theta), joinNested},
+	}
+	for name, c := range joins {
+		if got := MustCompile(c.plan).root.(*cJoin).strategy; got != c.want {
+			t.Errorf("%s: strategy %d, want %d", name, got, c.want)
+		}
+	}
+	semis := map[string]struct {
+		plan Node
+		want semiStrategy
+	}{
+		"semi-probe-left":          {NewSemiJoin(scan, keys, expr.Eq(expr.C("big.k"), expr.C("jk"))), semiProbeLeft},
+		"semi-nested":              {NewSemiJoin(scan, small, theta), semiNested},
+		"anti-nested":              {NewAntiJoin(scan, small, theta), semiNested},
+		"anti-nested-stored-right": {NewAntiJoin(small, scan, theta), semiNested},
+	}
+	for name, c := range semis {
+		if got := MustCompile(c.plan).root.(*cSemi).strategy; got != c.want {
+			t.Errorf("%s: strategy %d, want %d", name, got, c.want)
+		}
 	}
 }

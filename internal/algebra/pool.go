@@ -1,10 +1,9 @@
 // Intra-operator worker pool: the package's only blessed home for
-// goroutine launches (the ivmlint gostmt rule enforces it, exactly as it
-// does for internal/ivm/sched.go). All operator-kernel concurrency in
-// internal/algebra flows through parallelFor below, so worker counts stay
-// bounded by the caller's OpWorkers knob and there is exactly one place to
-// reason about goroutine lifetime: every launch is joined before the
-// kernel returns.
+// goroutine launches (the ivmlint gostmt rule enforces it). All
+// operator-kernel concurrency in internal/algebra flows through
+// parallelFor below, so worker counts stay bounded by the caller's
+// OpWorkers knob and there is exactly one place to reason about goroutine
+// lifetime: every launch is joined before the kernel returns.
 
 package algebra
 
@@ -62,8 +61,7 @@ func chunkSpans(n, k int) []span {
 }
 
 // parallelFor runs fn(0) … fn(n-1) on up to `workers` goroutines and
-// blocks until all calls return, mirroring internal/ivm/sched.go's
-// convention. fn must confine its side effects to index-owned state
+// blocks until all calls return. fn must confine its side effects to index-owned state
 // (slot i of a results slice).
 func parallelFor(workers, n int, fn func(int)) {
 	if workers > n {

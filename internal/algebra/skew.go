@@ -19,8 +19,8 @@
 // strategy plan; only the access counters drop, by (m-1)·(1+matches) per
 // heavy key appearing m times in the round's diff. Because the pre-pass
 // runs sequentially before any worker fans out and the cache is read-only
-// afterwards, the charge totals are byte-identical across {sequential,
-// OpWorkers, BatchSize} execution strategies — the skew-axis differential
+// afterwards, the charge totals are byte-identical with and without
+// OpWorkers — the skew-axis differential
 // matrix in internal/ivm pins this under -race. A threshold of 0 (the
 // default) disables the machinery entirely: not one statistics call is
 // made and the plan behaves exactly as before.
@@ -37,10 +37,10 @@ import (
 // Plans Run against a plain Env stay single-strategy; the Δ-script
 // executor implements it and returns its ExecOptions.SkewThreshold.
 //
-// Unlike OpWorkers and BatchSize — which never move a counter — a
+// Unlike OpWorkers — which never moves a counter — a
 // positive SkewThreshold deliberately changes access counts: repeated
 // probes of a heavy key collapse into one. It must stay invariant across
-// execution strategies and storage engines, not across thresholds.
+// worker counts and storage engines, not across thresholds.
 type SkewEnv interface {
 	Env
 	// SkewThreshold returns the stored-side key frequency at and above
@@ -74,65 +74,13 @@ func (c *cJoin) heavyLookup(pr *cProbe) ([]rel.Tuple, bool) {
 	return rows, ok
 }
 
-// prepareHeavy builds the heavy-lane cache for a probe-join round over
-// tuple-mode driving rows. It resets any cache left from a previous run,
-// reads the stored side's heavy-key statistics (uncharged), and probes
-// each distinct heavy key present in the driving rows exactly once, in
-// first-appearance order, on the step's main counter — the only charged
-// accesses the heavy lane performs this round.
-func (c *cJoin) prepareHeavy(env Env, t *storage.Handle, driving []rel.Tuple, drivingLeft bool) error {
-	c.heavy = nil
-	thresh := skewThreshold(env)
-	if thresh <= 0 || len(driving) == 0 {
-		return nil
-	}
-	heavy, err := t.HeavyKeys(c.probe.st, c.probe.prep.Attrs(), thresh)
-	if err != nil || len(heavy) == 0 {
-		return err
-	}
-	set := make(map[string]struct{}, len(heavy))
-	for _, k := range heavy {
-		set[k.Key] = struct{}{}
-	}
-	idx := c.lidx
-	if !drivingLeft {
-		idx = c.ridx
-	}
-	pr := c.probe
-	var cache map[string][]rel.Tuple
-	var buf []byte
-	for _, dt := range driving {
-		for i, x := range idx {
-			pr.valsBuf[i] = dt[x]
-		}
-		if hasNull(pr.valsBuf[:pr.nJoin]) {
-			continue
-		}
-		buf = rel.AppendTupleKey(buf[:0], pr.valsBuf)
-		if _, isHeavy := set[string(buf)]; !isHeavy {
-			continue
-		}
-		if _, done := cache[string(buf)]; done {
-			continue
-		}
-		rows, err := pr.lookup(t)
-		if err != nil {
-			return err
-		}
-		if cache == nil {
-			cache = make(map[string][]rel.Tuple)
-		}
-		// pr.lookup returns probe scratch; the cache outlives the next call.
-		cache[string(buf)] = append([]rel.Tuple(nil), rows...)
-	}
-	c.heavy = cache
-	return nil
-}
-
-// prepareHeavyBatch is prepareHeavy over a columnar driving side: same
-// statistics read, same one-probe-per-distinct-heavy-key pre-pass, with
-// the probe values gathered from column vectors.
-func (c *cJoin) prepareHeavyBatch(env Env, t *storage.Handle, driving *rel.Batch, drivingLeft bool) error {
+// prepareHeavy builds the heavy-lane cache for a probe-join round. It
+// resets any cache left from a previous run, reads the stored side's
+// heavy-key statistics (uncharged), and probes each distinct heavy key
+// present in the driving rows exactly once, in first-appearance order, on
+// the step's main counter — the only charged accesses the heavy lane
+// performs this round.
+func (c *cJoin) prepareHeavy(env Env, t *storage.Handle, driving *rel.Batch, drivingLeft bool) error {
 	c.heavy = nil
 	thresh := skewThreshold(env)
 	if thresh <= 0 || driving.Len() == 0 {
@@ -181,6 +129,7 @@ func (c *cJoin) prepareHeavyBatch(env Env, t *storage.Handle, driving *rel.Batch
 		if cache == nil {
 			cache = make(map[string][]rel.Tuple)
 		}
+		// pr.lookup returns probe scratch; the cache outlives the next call.
 		cache[string(buf)] = append([]rel.Tuple(nil), rows...)
 	}
 	c.heavy = cache

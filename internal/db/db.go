@@ -60,11 +60,10 @@ type Modification struct {
 // which append to the log and open epochs) are single-writer operations
 // issued between maintenance rounds — the serving layer's group-commit
 // dispatcher is that writer when one is attached. During a maintenance
-// round the catalog and log are read-only, so the parallel Δ-script
-// executor may resolve tables and compact the log from many goroutines;
-// per-row thread-safety lives in the storage backend, and cost attribution
-// is sharded via storage.Handle.WithCounter with MergeCounter folding the
-// shards back here.
+// round the catalog and log are read-only; per-row thread-safety lives in
+// the storage backend, and the op-worker kernels shard cost attribution
+// via storage.Handle.WithCounter, folding the shards back with
+// Handle.Merge.
 //
 // The catalog maps themselves (tables/order/logging) are guarded by mu so
 // that epoch-pinned snapshot readers may resolve handles and schemas
@@ -109,12 +108,6 @@ func (d *Database) Engine() storage.Engine { return d.engine }
 // Counter returns the database-wide cost counter; all registered tables
 // charge to it.
 func (d *Database) Counter() *rel.CostCounter { return &d.counter }
-
-// MergeCounter folds a sharded cost counter (accumulated by a parallel
-// maintenance run through storage.Handle.WithCounter handles) into the
-// database-wide counter, keeping its totals identical to a sequential run.
-// Callers must have joined the goroutines that charged the shard.
-func (d *Database) MergeCounter(c rel.CostCounter) { d.counter.Add(c) }
 
 // CreateTable allocates a new stored table on the engine and registers it
 // under the given bare-name schema.

@@ -220,8 +220,7 @@ func TestCascadeMaintenance(t *testing.T) {
 // TestCascadeMatchesFlattened is the differential acceptance test: after
 // every round, the 2-level cascade's top view holds exactly the rows of
 // the equivalent flattened view registered directly over the base table —
-// across both engines, sequential and worker-pool scheduling, and
-// tuple-at-a-time vs columnar batch execution.
+// across both engines, with and without op-workers.
 func TestCascadeMatchesFlattened(t *testing.T) {
 	engs := []struct {
 		name string
@@ -229,103 +228,50 @@ func TestCascadeMatchesFlattened(t *testing.T) {
 	}{{"mem", storage.NewMem}, {"sharded4", func() storage.Engine { return storage.NewSharded(4) }}}
 	execs := []struct {
 		name      string
-		workers   int
 		opWorkers int
-	}{{"seq", 0, 0}, {"op-workers", 3, 2}}
-	batches := []struct {
-		name string
-		n    int
-	}{{"tuple", 0}, {"batch64", 64}}
+	}{{"seq", 0}, {"op-workers", 2}}
 
 	for _, eng := range engs {
 		for _, ex := range execs {
-			for _, bs := range batches {
-				t.Run(fmt.Sprintf("%s/%s/%s", eng.name, ex.name, bs.name), func(t *testing.T) {
-					const rows = 150
-					// Twin databases: one carries the cascade, one the
-					// flattened view; both see the same mutation stream.
-					casc := cascadeDB(t, eng.mk(), rows, 11)
-					flat := cascadeDB(t, eng.mk(), rows, 11)
-					cascSys := ivm.NewSystem(casc)
-					flatSys := ivm.NewSystem(flat)
-					for _, s := range []*ivm.System{cascSys, flatSys} {
-						s.Workers = ex.workers
-						s.OpWorkers = ex.opWorkers
-						s.BatchSize = bs.n
-					}
-					register(t, cascSys, "v1", rollupL1Plan(casc), ivm.ModeID)
-					register(t, cascSys, "v2", rollupL2Plan(casc, "v1"), ivm.ModeID)
-					register(t, flatSys, "vflat", flatRollupPlan(flat), ivm.ModeID)
+			t.Run(eng.name+"/"+ex.name, func(t *testing.T) {
+				const rows = 150
+				// Twin databases: one carries the cascade, one the
+				// flattened view; both see the same mutation stream.
+				casc := cascadeDB(t, eng.mk(), rows, 11)
+				flat := cascadeDB(t, eng.mk(), rows, 11)
+				cascSys := ivm.NewSystem(casc)
+				flatSys := ivm.NewSystem(flat)
+				for _, s := range []*ivm.System{cascSys, flatSys} {
+					s.OpWorkers = ex.opWorkers
+				}
+				register(t, cascSys, "v1", rollupL1Plan(casc), ivm.ModeID)
+				register(t, cascSys, "v2", rollupL2Plan(casc, "v1"), ivm.ModeID)
+				register(t, flatSys, "vflat", flatRollupPlan(flat), ivm.ModeID)
 
-					cascRng := rand.New(rand.NewSource(23))
-					flatRng := rand.New(rand.NewSource(23))
-					cascID, flatID := int64(rows), int64(rows)
-					for round := 0; round < 5; round++ {
-						mutateItems(t, casc, cascRng, rows, &cascID)
-						mutateItems(t, flat, flatRng, rows, &flatID)
-						if _, err := cascSys.MaintainAll(); err != nil {
-							t.Fatalf("round %d cascade: %v", round, err)
-						}
-						if _, err := flatSys.MaintainAll(); err != nil {
-							t.Fatalf("round %d flat: %v", round, err)
-						}
-						got := sortedRowKeys(t, casc, "v2")
-						want := sortedRowKeys(t, flat, "vflat")
-						if len(got) != len(want) {
-							t.Fatalf("round %d: cascade %d rows vs flattened %d", round, len(got), len(want))
-						}
-						for i := range got {
-							if got[i] != want[i] {
-								t.Fatalf("round %d row %d: cascade %q vs flattened %q", round, i, got[i], want[i])
-							}
+				cascRng := rand.New(rand.NewSource(23))
+				flatRng := rand.New(rand.NewSource(23))
+				cascID, flatID := int64(rows), int64(rows)
+				for round := 0; round < 5; round++ {
+					mutateItems(t, casc, cascRng, rows, &cascID)
+					mutateItems(t, flat, flatRng, rows, &flatID)
+					if _, err := cascSys.MaintainAll(); err != nil {
+						t.Fatalf("round %d cascade: %v", round, err)
+					}
+					if _, err := flatSys.MaintainAll(); err != nil {
+						t.Fatalf("round %d flat: %v", round, err)
+					}
+					got := sortedRowKeys(t, casc, "v2")
+					want := sortedRowKeys(t, flat, "vflat")
+					if len(got) != len(want) {
+						t.Fatalf("round %d: cascade %d rows vs flattened %d", round, len(got), len(want))
+					}
+					for i := range got {
+						if got[i] != want[i] {
+							t.Fatalf("round %d row %d: cascade %q vs flattened %q", round, i, got[i], want[i])
 						}
 					}
-				})
-			}
-		}
-	}
-}
-
-// TestCascadeParallelMatchesSequential pins the leveled scheduler to the
-// sequential semantics: same reports (per-phase access counts included)
-// and same final state, with an extra independent level-0 view in the mix
-// so one level genuinely fans out.
-func TestCascadeParallelMatchesSequential(t *testing.T) {
-	const rows = 150
-	seqDB := cascadeDB(t, storage.NewMem(), rows, 31)
-	parDB := cascadeDB(t, storage.NewMem(), rows, 31)
-	seqSys := ivm.NewSystem(seqDB)
-	parSys := ivm.NewSystem(parDB)
-	parSys.Workers = 4
-
-	registerBoth := func(name string, mk func(d *db.Database) algebra.Node) {
-		register(t, seqSys, name, mk(seqDB), ivm.ModeID)
-		register(t, parSys, name, mk(parDB), ivm.ModeID)
-	}
-	registerBoth("v1", rollupL1Plan)
-	registerBoth("side", flatRollupPlan) // independent level-0 sibling
-	registerBoth("v2", func(d *db.Database) algebra.Node { return rollupL2Plan(d, "v1") })
-
-	seqRng := rand.New(rand.NewSource(41))
-	parRng := rand.New(rand.NewSource(41))
-	seqID, parID := int64(rows), int64(rows)
-	for round := 0; round < 4; round++ {
-		mutateItems(t, seqDB, seqRng, rows, &seqID)
-		mutateItems(t, parDB, parRng, rows, &parID)
-		seqReports, err := seqSys.MaintainAll()
-		if err != nil {
-			t.Fatalf("round %d seq: %v", round, err)
-		}
-		parReports, err := parSys.MaintainAll()
-		if err != nil {
-			t.Fatalf("round %d par: %v", round, err)
-		}
-		ctx := fmt.Sprintf("round %d", round)
-		assertReportsMatch(t, ctx, seqReports, parReports)
-		assertTablesMatch(t, ctx, seqDB, parDB, []string{"v1", "side", "v2"})
-		if seqDB.Counter().Total() != parDB.Counter().Total() {
-			t.Fatalf("%s: cumulative accesses diverged: seq %d par %d",
-				ctx, seqDB.Counter().Total(), parDB.Counter().Total())
+				}
+			})
 		}
 	}
 }

@@ -2,7 +2,6 @@ package ivm
 
 import (
 	"fmt"
-	"sync"
 	"time"
 
 	"idivm/internal/algebra"
@@ -24,9 +23,7 @@ type PhaseCosts struct {
 	// ViewRowsTouched counts the view rows modified (|D_V|).
 	ViewRowsTouched int
 	// Steps records the per-step access counts, in script order, for
-	// plan-level diagnosis. Parallel runs attribute costs per step exactly
-	// (each step charges a private counter shard), so this breakdown is
-	// identical whatever the schedule.
+	// plan-level diagnosis.
 	Steps []StepCost
 	// Applied lists the non-empty i-diff instances applied to the view
 	// itself, in script order — the per-round delta feed that derived
@@ -62,17 +59,6 @@ func (p *PhaseCosts) TotalTime() time.Duration {
 
 // ExecOptions configures one Δ-script execution.
 type ExecOptions struct {
-	// Workers bounds the executor's concurrency. 0 or 1 executes the steps
-	// sequentially in script order (the legacy behavior); >1 schedules the
-	// step-dependency DAG on that many pool workers, which preserves the
-	// final view/cache state and the exact access counts of the sequential
-	// run while overlapping independent steps.
-	Workers int
-	// Counter, when non-nil, receives all access charges of this run
-	// instead of the database-wide counter. System.MaintainAll uses one
-	// shard per view so concurrent maintenance runs never write one
-	// counter; callers merge the shard back via db.Database.MergeCounter.
-	Counter *rel.CostCounter
 	// Interpret forces compute steps through the interpreted algebra.Eval
 	// path even when a compiled plan is cached — the reference-oracle mode
 	// the differential tests compare the compiled executor against.
@@ -80,65 +66,52 @@ type ExecOptions struct {
 	// OpWorkers bounds intra-operator parallelism: >1 lets each compiled
 	// compute step run its partition-parallel kernels (scan, scan+filter,
 	// join probe/build, group-by pre-aggregation) on that many pool
-	// workers. Orthogonal to Workers (which overlaps whole steps); results,
-	// per-step reports and access counters are identical to sequential
-	// execution. 0 or 1 keeps operators sequential; the interpreted path
-	// ignores it.
+	// workers. Results, per-step reports and access counters are
+	// identical to sequential execution. 0 or 1 keeps operators
+	// sequential; the interpreted path ignores it.
 	OpWorkers int
-	// BatchSize > 0 routes compiled compute steps through the columnar
-	// batch kernels with that materialization granularity; 0 keeps the
-	// tuple-at-a-time kernels. Like OpWorkers it changes only ns/op and
-	// allocs/op — results, reports and access counters are identical —
-	// and the interpreted path ignores it.
-	BatchSize int
 	// SkewThreshold > 0 enables skew-adaptive heavy/light probe joins in
 	// compiled compute steps: driving keys whose stored-side frequency
 	// reaches the threshold are probed once per round and served from a
-	// per-key cache afterwards. Unlike OpWorkers and BatchSize this
-	// deliberately CHANGES access counts (repeat probes of a heavy key
-	// collapse into one) — results stay identical, and for a fixed
-	// threshold the counters stay byte-identical across engines and
-	// execution strategies. 0 (the default) keeps the single-strategy
-	// plans; the interpreted path ignores it.
+	// per-key cache afterwards. Unlike OpWorkers this deliberately CHANGES
+	// access counts (repeat probes of a heavy key collapse into one) —
+	// results stay identical, and for a fixed threshold the counters stay
+	// byte-identical across engines and worker counts. 0 (the default)
+	// keeps the single-strategy plans; the interpreted path ignores it.
 	SkewThreshold int
 }
 
-// scriptExec is the shared state of one script execution: the database,
-// the script, and the binding environment that compute steps extend. The
-// binding map is guarded for concurrent step execution; everything else is
-// read-only during the run.
+// scriptExec is the state of one script execution: the database, the
+// script, and the binding environment that compute steps extend.
 type scriptExec struct {
 	d         *db.Database
 	s         *Script
 	interpret bool
 	opWorkers int
-	batchSize int
 	skewThr   int
 	// logDerived records the view's applies into the database's derived
 	// modification log — set when the view is a cascade source (some other
 	// registered view scans it).
 	logDerived bool
 
-	mu   sync.RWMutex
 	bind map[string]*rel.Relation
 }
 
-func (x *scriptExec) getBind(name string) (*rel.Relation, bool) {
-	x.mu.RLock()
-	r, ok := x.bind[name]
-	x.mu.RUnlock()
-	return r, ok
-}
-
-func (x *scriptExec) setBind(name string, r *rel.Relation) {
-	x.mu.Lock()
-	x.bind[name] = r
-	x.mu.Unlock()
+// stepResult carries one executed step's outcome: its access counts, wall
+// time, apply bookkeeping, and — for view applies — the applied instance.
+type stepResult struct {
+	err             error
+	cost            rel.CostCounter
+	dur             time.Duration
+	rowsTouched     int
+	viewDiffTuples  int
+	viewRowsTouched int
+	applied         *Instance // view-level instance, for effectiveness checks
 }
 
 // stepEnv is the algebra.Env one step evaluates under: bindings resolve
-// from the shared execution state, stored tables resolve to handles
-// charging this step's counter shard.
+// from the execution state, stored tables resolve to handles charging the
+// run's counter.
 type stepEnv struct {
 	x       *scriptExec
 	counter *rel.CostCounter
@@ -155,7 +128,7 @@ func (e *stepEnv) Table(name string) (*storage.Handle, error) {
 
 // Rel implements algebra.Env.
 func (e *stepEnv) Rel(name string) (*rel.Relation, error) {
-	if r, ok := e.x.getBind(name); ok {
+	if r, ok := e.x.bind[name]; ok {
 		return r, nil
 	}
 	return nil, fmt.Errorf("ivm: unbound relation %q", name)
@@ -165,17 +138,12 @@ func (e *stepEnv) Rel(name string) (*rel.Relation, error) {
 // budget granted to this step's compiled plan.
 func (e *stepEnv) OpWorkers() int { return e.x.opWorkers }
 
-// BatchSize implements algebra.BatchEnv: a positive size switches this
-// step's compiled plan to columnar batch execution.
-func (e *stepEnv) BatchSize() int { return e.x.batchSize }
-
 // SkewThreshold implements algebra.SkewEnv: a positive threshold lets this
 // step's compiled probe joins split their driving keys into heavy and
 // light lanes against the storage layer's key-frequency statistics.
 func (e *stepEnv) SkewThreshold() int { return e.x.skewThr }
 
 var _ algebra.OpParallelEnv = (*stepEnv)(nil)
-var _ algebra.BatchEnv = (*stepEnv)(nil)
 var _ algebra.SkewEnv = (*stepEnv)(nil)
 
 // RunScript executes a Δ-script against the database: base diff instances
@@ -197,19 +165,9 @@ func RunScriptVerified(d *db.Database, s *Script, bindings map[string]*rel.Relat
 	return runScript(d, s, bindings, true, ExecOptions{})
 }
 
-// RunScriptOpts is RunScript with explicit execution options (worker count
-// and counter shard).
-func RunScriptOpts(d *db.Database, s *Script, bindings map[string]*rel.Relation, opts ExecOptions) (*PhaseCosts, error) {
-	return runScript(d, s, bindings, false, opts)
-}
-
 func runScript(d *db.Database, s *Script, bindings map[string]*rel.Relation, verify bool, opts ExecOptions) (*PhaseCosts, error) {
-	root := opts.Counter
-	if root == nil {
-		root = d.Counter()
-	}
-	x := &scriptExec{d: d, s: s, interpret: opts.Interpret, opWorkers: opts.OpWorkers, batchSize: opts.BatchSize,
-		skewThr:    opts.SkewThreshold,
+	root := d.Counter()
+	x := &scriptExec{d: d, s: s, interpret: opts.Interpret, opWorkers: opts.OpWorkers, skewThr: opts.SkewThreshold,
 		logDerived: d.DerivedLoggingEnabled(s.View), bind: make(map[string]*rel.Relation, len(bindings)+8)}
 	for k, v := range bindings { //ivmlint:allow maprange — map-to-map copy, order-free
 		x.bind[k] = v
@@ -245,21 +203,15 @@ func runScript(d *db.Database, s *Script, bindings map[string]*rel.Relation, ver
 		}
 	}()
 
-	var results []stepResult
-	var err error
-	if opts.Workers > 1 && len(s.Steps) > 1 {
-		results, err = x.runDAG(opts.Workers, root)
-	} else {
-		results, err = x.runSeq(root)
-	}
-	if err != nil {
-		return nil, err
-	}
-
+	// Steps run in script order on the calling goroutine, charging root
+	// directly: per-step costs are exact deltas because nothing else
+	// charges root during the run.
 	pc := &PhaseCosts{}
-	for i := range results {
-		r := &results[i]
-		st := s.Steps[r.idx]
+	for i, st := range s.Steps {
+		r := x.runStep(i, root)
+		if r.err != nil {
+			return nil, r.err
+		}
 		ph := st.Phase()
 		pc.Cost[ph].Add(r.cost)
 		pc.Time[ph] += r.dur
@@ -267,11 +219,11 @@ func runScript(d *db.Database, s *Script, bindings map[string]*rel.Relation, ver
 		pc.ViewDiffTuples += r.viewDiffTuples
 		pc.ViewRowsTouched += r.viewRowsTouched
 		name := ""
-		switch x := st.(type) {
+		switch st := st.(type) {
 		case *ComputeStep:
-			name = x.Name
+			name = st.Name
 		case *ApplyStep:
-			name = "APPLY " + x.DiffName
+			name = "APPLY " + st.DiffName
 		}
 		pc.Steps = append(pc.Steps, StepCost{Step: name, Cost: r.cost})
 		if r.applied != nil && r.applied.Len() > 0 {
@@ -298,25 +250,10 @@ func runScript(d *db.Database, s *Script, bindings map[string]*rel.Relation, ver
 	return pc, nil
 }
 
-// runSeq executes the steps in script order on the calling goroutine,
-// charging root directly (per-step costs are exact deltas because nothing
-// else charges root during the run).
-func (x *scriptExec) runSeq(root *rel.CostCounter) ([]stepResult, error) {
-	results := make([]stepResult, len(x.s.Steps))
-	for i := range x.s.Steps {
-		r := x.runStep(i, root)
-		if r.err != nil {
-			return nil, r.err
-		}
-		results[i] = r
-	}
-	return results, nil
-}
-
 // runStep executes one step, charging all of its stored accesses to the
 // given counter, and reports the delta it caused.
 func (x *scriptExec) runStep(i int, counter *rel.CostCounter) stepResult {
-	res := stepResult{idx: i}
+	var res stepResult
 	env := &stepEnv{x: x, counter: counter}
 	before := *counter
 	start := time.Now()
@@ -336,9 +273,9 @@ func (x *scriptExec) runStep(i int, counter *rel.CostCounter) stepResult {
 			res.err = fmt.Errorf("ivm: step %s: %w", st.Name, err)
 			return res
 		}
-		x.setBind(st.Name, r)
+		x.bind[st.Name] = r
 	case *ApplyStep:
-		r, ok := x.getBind(st.DiffName)
+		r, ok := x.bind[st.DiffName]
 		if !ok {
 			res.err = fmt.Errorf("ivm: apply of unbound diff %q", st.DiffName)
 			return res
@@ -352,8 +289,7 @@ func (x *scriptExec) runStep(i int, counter *rel.CostCounter) stepResult {
 		var n int
 		if st.Table == x.s.View && x.logDerived {
 			// The view is a cascade source: record the full images of every
-			// row this APPLY touches, batched per step so the derived log's
-			// order is the apply-step chain order whatever the schedule.
+			// row this APPLY touches, batched per step, in apply order.
 			var mods []db.Modification
 			n, err = inst.ApplyLogged(t, func(m db.Modification) { mods = append(mods, m) })
 			if err == nil {

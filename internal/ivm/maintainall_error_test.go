@@ -50,12 +50,12 @@ func sabotageView(t *testing.T, s *System, name string) {
 
 // TestMaintainAllSurfacesLateRegisteredLowerLevelError pins the failure
 // contract when registration order and level order disagree: "B" (level
-// 1) registers before "C" (level 0), and C's maintenance fails. The
-// level-ordered schedule skips B (nil report, nil error) while C carries
-// the round's only error — MaintainAll must return it, keep the base log
-// for retry, and drop the derived logs the successfully-maintained
-// parent "A" produced before the round collapsed (a kept derived log
-// would feed B duplicates on the retried round).
+// 1) registers before "C" (level 0), and C's maintenance fails.
+// MaintainAll must return C's error, keep the base log for retry, and
+// drop the derived logs the successfully-maintained parent "A" produced
+// before the round collapsed (a kept derived log would feed B duplicates
+// on the retried round). The contract holds with and without
+// intra-operator parallelism (OpWorkers).
 func TestMaintainAllSurfacesLateRegisteredLowerLevelError(t *testing.T) {
 	for _, workers := range []int{0, 4} {
 		t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
@@ -74,9 +74,9 @@ func TestMaintainAllSurfacesLateRegisteredLowerLevelError(t *testing.T) {
 			if err := d.Insert("item", rel.Tuple{rel.Int(100), rel.String("g0"), rel.Int(7)}); err != nil {
 				t.Fatalf("insert: %v", err)
 			}
-			s.Workers = workers
+			s.OpWorkers = workers
 			if _, err := s.MaintainAll(); err == nil {
-				t.Fatal("MaintainAll swallowed the failing view's error behind a skipped higher-level view")
+				t.Fatal("MaintainAll swallowed the failing view's error")
 			}
 			if len(d.Log()) == 0 {
 				t.Fatal("failed round must keep the base log for retry")

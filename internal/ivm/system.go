@@ -41,10 +41,7 @@ type View struct {
 	// base tables only.
 	Sources []string
 	// Level is the view's height in the cascade DAG: 0 over base tables
-	// only, 1 + max(parent levels) otherwise. MaintainAll's scheduler uses
-	// levels as barriers — a level-L view starts only after every view of
-	// a lower level completed — while views inside one level still fan out
-	// over the worker pool.
+	// only, 1 + max(parent levels) otherwise.
 	Level int
 }
 
@@ -89,27 +86,17 @@ type System struct {
 	// the diffs it applies to views (Section 2). The extra probes are
 	// charged to the cost counters, so enable it in tests only.
 	SelfCheck bool
-	// Workers bounds maintenance concurrency. 0 or 1 keeps maintenance
-	// fully sequential; >1 schedules each Δ-script's step DAG on that many
-	// pool workers and lets MaintainAll maintain independent views
-	// concurrently (each view in its own epoch, charging its own counter
-	// shard). Final view state and total access counts are identical to
-	// the sequential run.
-	Workers int
 	// Interpret forces every maintenance round through the interpreted
 	// evaluator instead of the compiled plans cached at registration —
 	// the reference oracle the differential tests compare against.
 	Interpret bool
 	// OpWorkers bounds intra-operator parallelism inside each compiled
 	// compute step (partition-parallel scans, join probes/builds, group-by
-	// pre-aggregation). Orthogonal to Workers; see ExecOptions.OpWorkers.
+	// pre-aggregation); see ExecOptions.OpWorkers.
 	OpWorkers int
-	// BatchSize > 0 runs every compiled compute step through the columnar
-	// batch kernels; see ExecOptions.BatchSize.
-	BatchSize int
 	// SkewThreshold > 0 enables skew-adaptive heavy/light probe joins in
 	// every compiled compute step; see ExecOptions.SkewThreshold. Unlike
-	// OpWorkers/BatchSize this changes access counts (that is the point);
+	// OpWorkers this changes access counts (that is the point);
 	// 0 keeps the single-strategy plans.
 	SkewThreshold int
 	// PinEpochs keeps every view, cache and logged base table in a
@@ -326,15 +313,14 @@ func (s *System) GenerateInstances(v *View) (map[string]*rel.Relation, int, erro
 
 // Maintain brings one view up to date with the modification log without
 // consuming the log (other views may still need it); call ResetLog (or use
-// MaintainAll) once every view is maintained. With Workers > 1 the view's
-// Δ-script runs on the step-DAG scheduler.
+// MaintainAll) once every view is maintained.
 //
 // In a cascade, maintain parents before children within the same round
 // (registration order always satisfies this; MaintainAll does it for
 // you): a child's diff feed is whatever its sources' derived logs hold.
 func (s *System) Maintain(name string) (*Report, error) {
 	s.beginCascadeEpochs()
-	return s.maintain(name, ExecOptions{Workers: s.Workers, Interpret: s.Interpret, OpWorkers: s.OpWorkers, BatchSize: s.BatchSize, SkewThreshold: s.SkewThreshold})
+	return s.maintain(name, ExecOptions{Interpret: s.Interpret, OpWorkers: s.OpWorkers, SkewThreshold: s.SkewThreshold})
 }
 
 // beginCascadeEpochs opens a maintenance epoch on every derived-logged
@@ -375,16 +361,11 @@ func (s *System) maintain(name string, opts ExecOptions) (*Report, error) {
 }
 
 // MaintainAll maintains every registered view against the current log,
-// then clears the log (and every derived log) and closes the epochs. The
-// schedule is topological over the cascade DAG: registration order is
-// already sources-first, and with Workers > 1 the views fan out level by
-// level — levels are barriers, since a cascaded view's diff feed is the
-// i-diffs the same round applied to its parents, while independent views
-// inside a level are maintained concurrently on the worker pool. Each
-// view runs in its own epoch (views and their caches are disjoint tables)
-// and charges a private counter shard, merged into the database counter in
-// registration order once all views complete — so reports and totals are
-// those of the sequential run.
+// then clears the log (and every derived log) and closes the epochs.
+// Views are maintained one at a time in registration order, which is
+// topological over the cascade DAG: a view registers only after its
+// sources, and a cascaded view's diff feed is the i-diffs the same round
+// applied to its parents.
 //
 // With PinEpochs set, the round is bracketed for concurrent snapshot
 // readers: every view and cache table is placed in a maintenance epoch
@@ -403,16 +384,12 @@ func (s *System) MaintainAll() ([]*Report, error) {
 	}
 	var out []*Report
 	var err error
-	if s.Workers > 1 && len(s.order) > 1 {
-		out, err = s.maintainAllParallel()
-	} else {
-		for _, name := range s.order {
-			var r *Report
-			if r, err = s.Maintain(name); err != nil {
-				break
-			}
-			out = append(out, r)
+	for _, name := range s.order {
+		var r *Report
+		if r, err = s.Maintain(name); err != nil {
+			break
 		}
+		out = append(out, r)
 	}
 	if s.Hooks.UnpinBegin != nil {
 		s.Hooks.UnpinBegin()
@@ -485,81 +462,6 @@ func (s *System) PinAllEpochs() {
 			t.BeginEpoch()
 		}
 	}
-}
-
-// maintainAllParallel fans the registered views out over the worker pool,
-// level by level: cascade levels are barriers (a child's diff feed is its
-// parents' applied i-diffs, so level L starts only after every view of a
-// lower level completed), while the views inside one level — independent
-// subtrees by construction — still run concurrently. On failure it
-// reports the erroring view earliest in registration order, with the
-// maintained (non-nil) reports of the views registered before it; views
-// at or below the failing level may or may not have been maintained, and
-// later levels are skipped (they would consume a broken feed), exactly
-// as consistent as the sequential path's early return leaves them. Log
-// reset and epoch release belong to MaintainAll.
-func (s *System) maintainAllParallel() ([]*Report, error) {
-	n := len(s.order)
-	reports := make([]*Report, n)
-	errs := make([]error, n)
-	shards := make([]rel.CostCounter, n)
-	levels := make(map[int][]int)
-	maxLevel := 0
-	for i, name := range s.order {
-		l := s.views[name].Level
-		levels[l] = append(levels[l], i)
-		if l > maxLevel {
-			maxLevel = l
-		}
-	}
-	for l := 0; l <= maxLevel; l++ {
-		idxs := levels[l]
-		if len(idxs) == 0 {
-			continue
-		}
-		parallelFor(s.Workers, len(idxs), func(k int) {
-			i := idxs[k]
-			reports[i], errs[i] = s.maintain(s.order[i], ExecOptions{Workers: s.Workers, Counter: &shards[i], Interpret: s.Interpret, OpWorkers: s.OpWorkers, BatchSize: s.BatchSize, SkewThreshold: s.SkewThreshold})
-		})
-		failed := false
-		for _, i := range idxs {
-			if errs[i] != nil {
-				failed = true
-			}
-		}
-		if failed {
-			break
-		}
-	}
-	for i := range shards {
-		s.DB.MergeCounter(shards[i])
-	}
-	// Registration order does not imply level order: a level-0 view may
-	// register after a level-1 view, so a nil report (skipped level) can
-	// precede the failing view in registration order. Locate the earliest
-	// non-nil error first — walking reports and stopping at the first nil
-	// would hide an error registered past a skipped view and let the
-	// round commit as if it had succeeded.
-	errIdx := -1
-	for i := range errs {
-		if errs[i] != nil {
-			errIdx = i
-			break
-		}
-	}
-	var out []*Report
-	for i, r := range reports {
-		if errIdx >= 0 && i >= errIdx {
-			break
-		}
-		if r != nil {
-			out = append(out, r)
-		}
-	}
-	if errIdx >= 0 {
-		return out, errs[errIdx]
-	}
-	return out, nil
 }
 
 // Recompute evaluates a view's plan from scratch (the correctness oracle

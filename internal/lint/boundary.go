@@ -9,24 +9,23 @@ import (
 	"path/filepath"
 )
 
-// goStmtExemptFiles are the blessed goroutine-launch files, one per linted
-// package: the Δ-script scheduler owning internal/ivm's worker pool, the
-// operator pool owning internal/algebra's, and the serving layer's
-// group-commit dispatcher. Everything else must route concurrency through
+// goStmtExemptFiles are the blessed goroutine-launch files: the operator
+// pool owning internal/algebra's workers and the serving layer's
+// group-commit dispatcher. internal/ivm has none — maintenance runs on the
+// caller's goroutine. Everything else must route concurrency through
 // them.
 var goStmtExemptFiles = map[string]bool{
-	"sched.go":    true, // internal/ivm: step-DAG scheduler + view parallel-for
 	"pool.go":     true, // internal/algebra: intra-operator kernel pool
 	"dispatch.go": true, // internal/serve: group-commit dispatcher goroutine
 }
 
 // AnalyzerGoStmt flags naked `go` statements in the executor packages
-// outside the blessed pool files: all maintenance and operator concurrency
-// must flow through the bounded worker pools so worker counts stay
-// bounded, counter shards stay attributed, and shutdown stays in one
-// place. It also runs on the test files of every internal package — a
-// naked goroutine in a test can mask exactly the scheduler race the
-// production rule exists to prevent.
+// outside the blessed pool files: all operator and serving concurrency
+// must flow through the bounded worker pool and the dispatcher so worker
+// counts stay bounded, counter shards stay attributed, and shutdown stays
+// in one place. It also runs on the test files of every internal package
+// — a naked goroutine in a test can mask exactly the race the production
+// rule exists to prevent.
 var AnalyzerGoStmt = register(&Analyzer{
 	Name: "gostmt",
 	Doc:  "goroutines launched outside the blessed worker-pool files",
@@ -49,7 +48,7 @@ func runGoStmt(pass *Pass) {
 			if !ok {
 				return true
 			}
-			pass.Reportf(gs.Pos(), "goroutine launched outside the blessed pool files (sched.go, pool.go, dispatch.go); "+
+			pass.Reportf(gs.Pos(), "goroutine launched outside the blessed pool files (pool.go, dispatch.go); "+
 				"route concurrency through the worker pool "+
 				"(or annotate with //ivmlint:allow gostmt)")
 			return true

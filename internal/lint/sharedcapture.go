@@ -1,8 +1,8 @@
 // sharedcapture is a static companion to -race for the repository's two
 // worker-launch points: closures handed to parallelFor (the bounded
-// worker pools of internal/ivm and internal/algebra) and closures
-// launched by `go` statements (the DAG scheduler's workers, plus blessed
-// or suppressed launches elsewhere). The pool contract — "fn must confine
+// worker pool of internal/algebra) and closures launched by `go`
+// statements (the pool's own workers, plus blessed or suppressed launches
+// elsewhere). The pool contract — "fn must confine
 // its side effects to index-owned state" — lives only in a comment;
 // -race only catches a violation when a failing schedule actually runs.
 // This analyzer fires on the shape alone:

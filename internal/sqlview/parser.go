@@ -181,7 +181,9 @@ func (p *parser) selectStmt() (algebra.Node, error) {
 			if err != nil {
 				return nil, err
 			}
-			groupBy = append(groupBy, q)
+			if !rel.Contains(groupBy, q) {
+				groupBy = append(groupBy, q)
+			}
 			if !p.acceptSymbol(",") {
 				break
 			}
@@ -215,6 +217,11 @@ func (p *parser) selectStmt() (algebra.Node, error) {
 		// HAVING is a selection above the aggregation; its columns are the
 		// SELECT list's output names (aggregate aliases) or group columns.
 		resolved := p.resolveHaving(having, out.Schema())
+		for _, c := range resolved.Cols() {
+			if !out.Schema().Has(c) {
+				return nil, p.errf("HAVING references %q, which is neither an output column nor a GROUP BY column", c)
+			}
+		}
 		out = algebra.NewSelect(out, resolved)
 	}
 	return out, nil
@@ -362,6 +369,11 @@ func (p *parser) fromItem() (*algebra.Scan, error) {
 	} else if t := p.peek(); t.kind == tokIdent {
 		alias = t.text
 		p.pos++
+	}
+	for _, s := range p.sources {
+		if s.alias == alias {
+			return nil, p.errf("table name %q appears twice in FROM; alias one occurrence", alias)
+		}
 	}
 	tab, err := p.cat.Table(name)
 	if err != nil {
@@ -512,6 +524,16 @@ func (p *parser) buildSelectList(plan algebra.Node, items []selectItem, groupBy 
 				needProject = true
 			}
 		}
+		groupOut := append([]string(nil), groupBy...)
+		for _, a := range aggs {
+			groupOut = append(groupOut, a.As)
+		}
+		if err := p.checkUniqueNames(groupOut); err != nil {
+			return nil, err
+		}
+		if err := p.checkUniqueNames(projNames(postItems)); err != nil {
+			return nil, err
+		}
 		g := algebra.NewGroupBy(plan, groupBy, aggs)
 		if !needProject {
 			return g, nil
@@ -528,6 +550,9 @@ func (p *parser) buildSelectList(plan algebra.Node, items []selectItem, groupBy 
 		}
 		projItems = append(projItems, algebra.ProjItem{E: re, As: name})
 	}
+	if err := p.checkUniqueNames(projNames(projItems)); err != nil {
+		return nil, err
+	}
 	out := algebra.Node(algebra.NewProject(plan, projItems))
 	if distinct {
 		// DISTINCT via grouping on all output columns (the paper's
@@ -539,6 +564,28 @@ func (p *parser) buildSelectList(plan algebra.Node, items []selectItem, groupBy 
 		out = algebra.NewGroupBy(out, keys, nil)
 	}
 	return out, nil
+}
+
+// projNames lists the output names of projection items.
+func projNames(items []algebra.ProjItem) []string {
+	out := make([]string, len(items))
+	for i, it := range items {
+		out[i] = it.As
+	}
+	return out
+}
+
+// checkUniqueNames rejects an output column list that repeats a name:
+// every view column must be addressable by its name.
+func (p *parser) checkUniqueNames(names []string) error {
+	seen := make(map[string]bool, len(names))
+	for _, n := range names {
+		if seen[n] {
+			return p.errf("output column %q appears twice; alias one of them", n)
+		}
+		seen[n] = true
+	}
+	return nil
 }
 
 // ---- column resolution ------------------------------------------------
