@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: check build vet test race race-sharded race-serving lint lint-json bench-smoke bench-smoke-sharded bench-smoke-serving bench-smoke-skew
+.PHONY: check build vet test race race-sharded race-serving lint lint-json bench-smoke bench-smoke-sharded bench-smoke-serving
 
 # check is the full local gate, identical to CI: build, vet, race-enabled
 # tests on both storage engines, and the repository linter. Any lint
@@ -74,23 +74,9 @@ bench-smoke-sharded:
 # replay lane reports accesses/op — the deterministic apply+maintenance
 # cost of one 100-write group-commit batch — and gates against the same
 # baseline; the concurrent lane's p50-ns/p99-ns/rounds-per-sec are
-# wall-clock and land in BENCH_7.json as informational columns only
+# wall-clock and land in BENCH_serving.json as informational columns only
 # (benchjson refuses to gate on them).
-BENCHJSON_SERVING_FLAGS ?= -o BENCH_7.json -baseline testdata/bench_baseline.json
+BENCHJSON_SERVING_FLAGS ?= -o BENCH_serving.json -baseline testdata/bench_baseline.json
 bench-smoke-serving:
 	$(GO) test -run '^$$' -bench '^BenchmarkServing$$' -benchtime=2000x . | tee bench_serving.txt
 	$(GO) run ./cmd/benchjson $(BENCHJSON_SERVING_FLAGS) bench_serving.txt
-
-# bench-smoke-skew is the skew-adaptation lane: BenchmarkSkewSweep runs the
-# feed join under uniform and zipf(1.1) author distributions with
-# heavy/light partitioning off and on (threshold 16 unless
-# IDIVM_SKEW_THRESHOLD overrides it), converted to BENCH_skew.json and
-# gated against the shared baseline on accesses/op. The uniform rows pin
-# the no-heavy-keys safety property (on ≡ off), the zipf1.1 rows pin the
-# heavy-lane win (~31% fewer accesses at threshold 16). ns/op stays
-# informational: CI runs on small shared runners where wall-clock is
-# noise, so only the deterministic access counts gate.
-BENCHJSON_SKEW_FLAGS ?= -o BENCH_skew.json -baseline testdata/bench_baseline.json
-bench-smoke-skew:
-	$(GO) test -run '^$$' -bench '^BenchmarkSkewSweep$$' -benchtime=1x . | tee bench_skew.txt
-	$(GO) run ./cmd/benchjson $(BENCHJSON_SKEW_FLAGS) bench_skew.txt

@@ -72,23 +72,6 @@ func benchOpWorkers() int {
 	return n
 }
 
-// benchSkewThreshold reads $IDIVM_SKEW_THRESHOLD, the heavy-key threshold
-// the skew sweep's on-lanes run at (default 16). Unlike the other knobs,
-// a positive threshold deliberately CHANGES access counts — that is the
-// measurement — so only the skew sweep consults it; every other benchmark
-// keeps the single-strategy plans.
-func benchSkewThreshold() int {
-	v := os.Getenv("IDIVM_SKEW_THRESHOLD")
-	if v == "" {
-		return 16
-	}
-	n, err := strconv.Atoi(v)
-	if err != nil || n < 1 {
-		panic(fmt.Sprintf("bad IDIVM_SKEW_THRESHOLD %q", v))
-	}
-	return n
-}
-
 // benchIVM measures maintenance rounds of the running-example aggregate
 // (or SPJ) view in the given mode.
 func benchIVM(b *testing.B, p workload.Params, agg bool, mode ivm.Mode) {
@@ -277,61 +260,6 @@ func BenchmarkSPJNonConditionalUpdate(b *testing.B) {
 	b.Run("tuple", func(b *testing.B) { benchIVM(b, p, false, ivm.ModeTuple) })
 }
 
-// benchSkewLane measures maintenance rounds of the skewed-join feed view
-// (tweets ⋈ follows on the author id) at one skew threshold: 0 keeps the
-// single-strategy index-pushdown plan, a positive threshold engages the
-// heavy/light lane split.
-func benchSkewLane(b *testing.B, p workload.SkewParams, thresh int) {
-	b.Helper()
-	ds := workload.BuildSkew(p)
-	sys := ivm.NewSystem(ds.DB)
-	sys.OpWorkers = benchOpWorkers()
-	sys.SkewThreshold = thresh
-	if _, err := sys.RegisterView("feed", ds.FeedPlan(), ivm.ModeID); err != nil {
-		b.Fatal(err)
-	}
-	var accesses int64
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		b.StopTimer()
-		if err := ds.ApplyTweetInserts(); err != nil {
-			b.Fatal(err)
-		}
-		ds.DB.Counter().Reset()
-		b.StartTimer()
-		reports, err := sys.MaintainAll()
-		if err != nil {
-			b.Fatal(err)
-		}
-		accesses += reports[0].Phases.Total().Total()
-		b.StopTimer()
-		ds.DB.ResetLog()
-		b.StartTimer()
-	}
-	b.ReportMetric(float64(accesses)/float64(b.N), "accesses/op")
-}
-
-// BenchmarkSkewSweep is the skew-adaptive maintenance measurement:
-// {uniform, Zipf 1.1} key distributions × {off, on} skew thresholds over
-// the feed view. The Zipf/on lane is the payoff — celebrity authors'
-// follower buckets are probed once per round instead of once per tweet —
-// and CI gates it reducing accesses/op by ≥25% versus Zipf/off. The
-// uniform lanes pin the no-skew safety property: with no heavy keys the
-// split changes nothing.
-func BenchmarkSkewSweep(b *testing.B) {
-	thresh := benchSkewThreshold()
-	for _, d := range []struct {
-		name string
-		s    float64
-	}{{"uniform", 0}, {"zipf1.1", 1.1}} {
-		p := workload.SkewDefaults(1000)
-		p.ZipfS = d.s
-		b.Run(d.name+"/skew=off", func(b *testing.B) { benchSkewLane(b, p, 0) })
-		b.Run(d.name+"/skew=on", func(b *testing.B) { benchSkewLane(b, p, thresh) })
-	}
-}
-
 // cascadeL1Plan is the level-0 rollup of the cascade benchmark: per-city
 // sums over the BSMA user table, with bare output names so the level-1
 // view can scan it like a base table.
@@ -464,9 +392,7 @@ func (e *opBenchEnv) OpWorkers() int { return e.w }
 // identical results with identical access counts by construction; the
 // ns/op delta between them is the point, and it only materializes on a
 // partitioned engine (run with IDIVM_ENGINE=sharded:8 — a single mem part
-// leaves scans sequential). The b1024 and b1024-op4 rows repeat seq and
-// op4: they date from when batch execution was optional and stay so the
-// gated baseline keeps its rows until it is next regenerated.
+// leaves scans sequential).
 func BenchmarkScanHeavyRecompute(b *testing.B) {
 	p := workload.Defaults(20000) // 20k parts/devices, fanout 10 → ~200k dp rows
 	ds := workload.Build(p)
@@ -485,7 +411,7 @@ func BenchmarkScanHeavyRecompute(b *testing.B) {
 		for _, w := range []struct {
 			name string
 			n    int
-		}{{"seq", 1}, {"op4", 4}, {"b1024", 1}, {"b1024-op4", 4}} {
+		}{{"seq", 1}, {"op4", 4}} {
 			b.Run(v.name+"/"+w.name, func(b *testing.B) {
 				env := &opBenchEnv{Env: ds.DB, w: w.n}
 				var accesses, rows int64

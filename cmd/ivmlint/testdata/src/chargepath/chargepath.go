@@ -1,7 +1,7 @@
 // Package chargepath is the seeded fixture for the chargepath analyzer:
 // deliberate violations (a charged-shape call on the raw backend
 // interface, the three uncharged batch-converter escapes, and a
-// key-frequency stats read outside the planner) and two blessed
+// key-frequency stats read outside the storage layer) and two blessed
 // suppressions (a Backend() escape and a stats read).
 package chargepath
 
@@ -27,19 +27,19 @@ func smuggleIn(rows []rel.Tuple) *rel.Batch {
 }
 
 func smuggleRel(r *rel.Relation) *rel.Batch {
-	return rel.FromRelation(r) // violation: uncharged batch conversion outside the kernels
+	return rel.FromTuples(r.Schema, r.Tuples) // violation: uncharged batch conversion outside the kernels
 }
 
 func smuggleOut(b *rel.Batch) *rel.Relation {
 	return b.Materialize(0) // violation: uncharged materialization outside the kernels
 }
 
-// The key-frequency statistics are uncharged like IndexCard — sound while
-// they steer plan choice inside the planner, a free data channel anywhere
+// The key-frequency statistics are uncharged like IndexCard — sound inside
+// the storage layer that maintains them, a free data channel anywhere
 // else.
 
 func statsPeek(h *storage.Handle) (int, error) {
-	return h.KeyFreq(rel.StatePost, []string{"a"}, nil) // violation: uncharged stats read outside the planner
+	return h.KeyFreq(rel.StatePost, []string{"a"}, nil) // violation: uncharged stats read outside the storage layer
 }
 
 func statsBless(h *storage.Handle) ([]rel.KeyCount, error) {

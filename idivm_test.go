@@ -124,6 +124,42 @@ func TestFacadeTupleMode(t *testing.T) {
 	}
 }
 
+// TestFacadeNaturalJoinSelectionFlip pins maintenance of a selection over
+// a NATURAL JOIN chain when a device enters the selection. The σ sits above
+// the joins, so the update diff on devices reaches it without the parts
+// columns the entering rows need; the rules must consult the join's
+// post-state rather than drop the entering rows.
+func TestFacadeNaturalJoinSelectionFlip(t *testing.T) {
+	for _, mode := range []idivm.Mode{idivm.ModeID, idivm.ModeTuple} {
+		t.Run(mode.String(), func(t *testing.T) {
+			d := openRunningExample(t)
+			if _, err := d.Update("devices", []any{"D2"}, map[string]any{"category": "tablet"}); err != nil {
+				t.Fatal(err)
+			}
+			d.MustCreateView(`SELECT did, pid, price
+				FROM parts NATURAL JOIN devices_parts NATURAL JOIN devices
+				WHERE category = 'phone'`,
+				idivm.WithName("v"), idivm.WithMode(mode))
+			if ok, err := d.Update("devices", []any{"D2"}, map[string]any{"category": "phone"}); err != nil || !ok {
+				t.Fatalf("flip: ok=%v err=%v", ok, err)
+			}
+			if _, err := d.Maintain(); err != nil {
+				t.Fatal(err)
+			}
+			if err := d.CheckConsistent("v"); err != nil {
+				t.Fatal(err)
+			}
+			rows, err := d.View("v")
+			if err != nil {
+				t.Fatal(err)
+			}
+			if rows.Len() != 3 {
+				t.Fatalf("view rows = %d, want 3\n%v", rows.Len(), rows.Data)
+			}
+		})
+	}
+}
+
 func TestFacadeQuery(t *testing.T) {
 	d := openRunningExample(t)
 	rows, err := d.Query(`SELECT pid FROM parts WHERE price > 15`)

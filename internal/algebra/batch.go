@@ -583,16 +583,10 @@ func (c *cJoin) run(env Env) (*rel.Batch, error) {
 		if err != nil {
 			return nil, err
 		}
-		if err := c.prepareHeavy(env, t, left, true); err != nil {
-			return nil, err
-		}
 		return c.probeBatch(t, left, true, opWorkers(env))
 	case joinProbeLeft:
 		t, err := c.probe.resolve(env)
 		if err != nil {
-			return nil, err
-		}
-		if err := c.prepareHeavy(env, t, right, false); err != nil {
 			return nil, err
 		}
 		return c.probeBatch(t, right, false, opWorkers(env))
@@ -643,12 +637,9 @@ func (c *cJoin) probeBatchRange(t *storage.Handle, driving *rel.Batch, drivingLe
 		if null {
 			continue
 		}
-		rows, cached := c.heavyLookup(pr)
-		if !cached {
-			var err error
-			if rows, err = pr.lookup(t); err != nil {
-				return nil, nil, err
-			}
+		rows, err := pr.lookup(t)
+		if err != nil {
+			return nil, nil, err
 		}
 		if len(rows) == 0 {
 			continue

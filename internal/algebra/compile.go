@@ -334,13 +334,6 @@ type cJoin struct {
 	shortRight bool
 	sch        rel.Schema
 	lw, rw     int // child widths, for output layout
-
-	// heavy is the per-round heavy-lane cache (skew.go): probe results for
-	// driving keys whose stored-side frequency crossed the SkewThreshold.
-	// Rebuilt by prepareHeavy before each probe round;
-	// nil whenever the heavy lane is off. Read-only once the probe loops
-	// (including parallel workers) start.
-	heavy map[string][]rel.Tuple
 }
 
 func compileJoin(j *Join) (cNode, error) {

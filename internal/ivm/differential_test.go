@@ -157,21 +157,10 @@ func TestOpWorkersEngineMatrixDifferential(t *testing.T) {
 	strategies := []struct {
 		name      string
 		opWorkers int
-		skew      int
 	}{
-		{"seq", 0, 0}, // per-engine skew-off reference; must come first
-		{"op4", 4, 0},
-		// The skew axis: SkewThreshold=2 on the tiny Figure 2 instance keeps
-		// keys crossing the heavy threshold mid-history as randomMods
-		// inserts and deletes rows. Skew deliberately changes access counts,
-		// so these cells form their own comparison group: the first skew
-		// cell is the per-engine reference the others must reproduce
-		// byte-for-byte. View state must still agree with every skew-off
-		// cell — the heavy lane serves cached rows, never different ones.
-		{"skew2/seq", 0, 2}, // per-engine skew-on reference; must come first
-		{"skew2/op4", 4, 2},
+		{"seq", 0}, // per-engine reference; must come first
+		{"op4", 4},
 	}
-	const skewRef = 2 // index of skew2/seq
 	for trial := 0; trial < trials; trial++ {
 		seed := int64(11000 + trial)
 		// One plan, generated against a throwaway mem twin; every cell
@@ -197,7 +186,6 @@ func TestOpWorkersEngineMatrixDifferential(t *testing.T) {
 				d := fig2DBOn(t, e.mk())
 				sys := ivm.NewSystem(d)
 				sys.OpWorkers = s.opWorkers
-				sys.SkewThreshold = s.skew
 				if _, err := sys.RegisterView("V", plan, ivm.ModeID); err != nil {
 					t.Fatalf("trial %d: register %s/%s: %v\nplan: %s", trial, e.name, s.name, err, plan)
 				}
@@ -222,19 +210,10 @@ func TestOpWorkersEngineMatrixDifferential(t *testing.T) {
 				}
 			}
 			// Parallel cells must match their engine's sequential
-			// reference exactly: reports, steps, counters. The
-			// comparison is per skew group — a fixed threshold is
-			// strategy-invariant, but the two thresholds legitimately
-			// differ from each other.
+			// reference exactly: reports, steps, counters.
 			for _, row := range cells {
-				for si, c := range row {
-					ref := row[0]
-					if strategies[si].skew != 0 {
-						ref = row[skewRef]
-					}
-					if c == ref {
-						continue
-					}
+				ref := row[0]
+				for _, c := range row[1:] {
 					samePhases(t, c.label, ref.rep, c.rep)
 					if ref.count != c.count {
 						t.Fatalf("trial %d round %d %s: counters differ:\n %s %v\n %s %v\nplan: %s",

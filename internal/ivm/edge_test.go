@@ -231,3 +231,44 @@ func TestCountOnlyAggregate(t *testing.T) {
 		})
 	}
 }
+
+// A selection above a join whose update diff comes from one join input:
+// the diff carries the condition's pre/post values but not the other
+// input's columns, so the entering tuples (¬φ(pre) ∧ φ(post)) cannot be
+// rebuilt from the diff alone and must come from the join's post-state.
+// Flipping D3 to phone enters its rows; flipping D1 to tablet removes
+// its rows, in the same round.
+func TestSelectAboveJoinEnteringTuples(t *testing.T) {
+	for _, mode := range []ivm.Mode{ivm.ModeID, ivm.ModeTuple} {
+		t.Run(mode.String(), func(t *testing.T) {
+			d := fig2DB(t)
+			for _, pid := range []string{"P1", "P2"} {
+				if err := d.Insert("devices_parts", rel.Tuple{rel.String("D3"), rel.String(pid)}); err != nil {
+					t.Fatal(err)
+				}
+			}
+			parts, _ := d.Table("parts")
+			dp, _ := d.Table("devices_parts")
+			devices, _ := d.Table("devices")
+			sp := algebra.NewScan("parts", "", parts.Schema())
+			sdp := algebra.NewScan("devices_parts", "", dp.Schema())
+			sd := algebra.NewScan("devices", "", devices.Schema())
+			plan := algebra.NewSelect(
+				algebra.NewJoin(
+					algebra.NewJoin(sp, sdp, expr.Eq(expr.C("parts.pid"), expr.C("devices_parts.pid"))),
+					sd, expr.Eq(expr.C("devices_parts.did"), expr.C("devices.did"))),
+				expr.Eq(expr.C("devices.category"), expr.StrLit("phone")))
+
+			s := ivm.NewSystem(d)
+			s.SelfCheck = true
+			register(t, s, "V", plan, mode)
+			mustUpdate(t, d, "devices", []rel.Value{rel.String("D3")}, []string{"category"}, []rel.Value{rel.String("phone")})
+			mustUpdate(t, d, "devices", []rel.Value{rel.String("D1")}, []string{"category"}, []rel.Value{rel.String("tablet")})
+			maintainAndCheck(t, s)
+			vt, _ := d.Table("V")
+			if vt.Len() != 3 {
+				t.Fatalf("view rows = %d, want 3 (D2·P1, D3·P1, D3·P2)", vt.Len())
+			}
+		})
+	}
+}

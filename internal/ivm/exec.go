@@ -70,15 +70,6 @@ type ExecOptions struct {
 	// identical to sequential execution. 0 or 1 keeps operators
 	// sequential; the interpreted path ignores it.
 	OpWorkers int
-	// SkewThreshold > 0 enables skew-adaptive heavy/light probe joins in
-	// compiled compute steps: driving keys whose stored-side frequency
-	// reaches the threshold are probed once per round and served from a
-	// per-key cache afterwards. Unlike OpWorkers this deliberately CHANGES
-	// access counts (repeat probes of a heavy key collapse into one) —
-	// results stay identical, and for a fixed threshold the counters stay
-	// byte-identical across engines and worker counts. 0 (the default)
-	// keeps the single-strategy plans; the interpreted path ignores it.
-	SkewThreshold int
 }
 
 // scriptExec is the state of one script execution: the database, the
@@ -88,7 +79,6 @@ type scriptExec struct {
 	s         *Script
 	interpret bool
 	opWorkers int
-	skewThr   int
 	// logDerived records the view's applies into the database's derived
 	// modification log — set when the view is a cascade source (some other
 	// registered view scans it).
@@ -138,13 +128,7 @@ func (e *stepEnv) Rel(name string) (*rel.Relation, error) {
 // budget granted to this step's compiled plan.
 func (e *stepEnv) OpWorkers() int { return e.x.opWorkers }
 
-// SkewThreshold implements algebra.SkewEnv: a positive threshold lets this
-// step's compiled probe joins split their driving keys into heavy and
-// light lanes against the storage layer's key-frequency statistics.
-func (e *stepEnv) SkewThreshold() int { return e.x.skewThr }
-
 var _ algebra.OpParallelEnv = (*stepEnv)(nil)
-var _ algebra.SkewEnv = (*stepEnv)(nil)
 
 // RunScript executes a Δ-script against the database: base diff instances
 // are passed as bindings keyed by BaseBindName; the script's compute steps
@@ -167,7 +151,7 @@ func RunScriptVerified(d *db.Database, s *Script, bindings map[string]*rel.Relat
 
 func runScript(d *db.Database, s *Script, bindings map[string]*rel.Relation, verify bool, opts ExecOptions) (*PhaseCosts, error) {
 	root := d.Counter()
-	x := &scriptExec{d: d, s: s, interpret: opts.Interpret, opWorkers: opts.OpWorkers, skewThr: opts.SkewThreshold,
+	x := &scriptExec{d: d, s: s, interpret: opts.Interpret, opWorkers: opts.OpWorkers,
 		logDerived: d.DerivedLoggingEnabled(s.View), bind: make(map[string]*rel.Relation, len(bindings)+8)}
 	for k, v := range bindings { //ivmlint:allow maprange — map-to-map copy, order-free
 		x.bind[k] = v

@@ -55,7 +55,10 @@ func (g *gen) selectRules(op *algebra.Select, in decl, input inputFn) ([]decl, e
 			return []decl{in}, nil
 		}
 
-		if canEvalPre(pred, ds) && canEvalPost(pred, ds) {
+		// The fast path needs full post tuples for the entering rows; a
+		// diff that cannot rebuild them (σ above a join, diff from one
+		// input) consults the input's post-state instead.
+		if canEvalPre(pred, ds) && canEvalPost(pred, ds) && canReconstruct(in, childSchema.Attrs, rel.StatePost) {
 			return g.selectUpdateFast(op, in, pred, childSchema)
 		}
 		return g.selectUpdateFallback(op, in, pred, childSchema, input)
@@ -64,8 +67,8 @@ func (g *gen) selectRules(op *algebra.Select, in decl, input inputFn) ([]decl, e
 }
 
 // selectUpdateFast handles updates touching φ when the diff carries every
-// needed pre/post column: the staying, entering and leaving tuples are all
-// computed from the diff alone.
+// needed pre/post column and can rebuild full post tuples: the staying,
+// entering and leaving tuples are all computed from the diff alone.
 func (g *gen) selectUpdateFast(op *algebra.Select, in decl, pred expr.Expr, childSchema rel.Schema) ([]decl, error) {
 	ds := in.schema
 	prePred := expr.Rename(pred, preMap(ds))
@@ -79,13 +82,11 @@ func (g *gen) selectUpdateFast(op *algebra.Select, in decl, pred expr.Expr, chil
 		plan:   algebra.NewSelect(in.plan, expr.And(prePred, postPred)),
 	})
 
-	// Entering tuples: ¬φ(pre) ∧ φ(post) → insert (needs full post tuples).
-	if canReconstruct(in, childSchema.Attrs, rel.StatePost) {
-		entering := algebra.NewSelect(in.plan, expr.And(expr.Not(prePred), postPred))
-		insDS := insertSchemaFor(ds.Rel, childSchema)
-		plan := toDiff(reconstruct(decl{schema: ds, plan: entering}, childSchema.Attrs, rel.StatePost), insDS, nil)
-		outs = append(outs, decl{schema: insDS, plan: plan})
-	}
+	// Entering tuples: ¬φ(pre) ∧ φ(post) → insert of the rebuilt post tuples.
+	entering := algebra.NewSelect(in.plan, expr.And(expr.Not(prePred), postPred))
+	insDS := insertSchemaFor(ds.Rel, childSchema)
+	plan := toDiff(reconstruct(decl{schema: ds, plan: entering}, childSchema.Attrs, rel.StatePost), insDS, nil)
+	outs = append(outs, decl{schema: insDS, plan: plan})
 
 	// Leaving tuples: φ(pre) ∧ ¬φ(post) → delete.
 	leaving := algebra.NewSelect(in.plan, expr.And(prePred, expr.Not(postPred)))

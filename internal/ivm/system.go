@@ -94,11 +94,6 @@ type System struct {
 	// compute step (partition-parallel scans, join probes/builds, group-by
 	// pre-aggregation); see ExecOptions.OpWorkers.
 	OpWorkers int
-	// SkewThreshold > 0 enables skew-adaptive heavy/light probe joins in
-	// every compiled compute step; see ExecOptions.SkewThreshold. Unlike
-	// OpWorkers this changes access counts (that is the point);
-	// 0 keeps the single-strategy plans.
-	SkewThreshold int
 	// PinEpochs keeps every view, cache and logged base table in a
 	// permanent maintenance epoch: MaintainAll pins any not yet pinned at
 	// round start and, at round end, atomically advances each snapshot to
@@ -320,7 +315,7 @@ func (s *System) GenerateInstances(v *View) (map[string]*rel.Relation, int, erro
 // you): a child's diff feed is whatever its sources' derived logs hold.
 func (s *System) Maintain(name string) (*Report, error) {
 	s.beginCascadeEpochs()
-	return s.maintain(name, ExecOptions{Interpret: s.Interpret, OpWorkers: s.OpWorkers, SkewThreshold: s.SkewThreshold})
+	return s.maintain(name, ExecOptions{Interpret: s.Interpret, OpWorkers: s.OpWorkers})
 }
 
 // beginCascadeEpochs opens a maintenance epoch on every derived-logged

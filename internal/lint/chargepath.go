@@ -16,7 +16,7 @@
 // Backend() escapes are violations.
 //
 // The columnar batch layer adds a third escape class: the tuple↔batch
-// converters (rel.FromTuples, rel.FromRelation, Batch.Materialize) are
+// converters (rel.FromTuples, Batch.Materialize) are
 // deliberately uncharged — batching must be invisible to the Section-6
 // cost model — which is only sound while every tuple they convert already
 // flowed through a Handle-charged call. The compiled kernels in
@@ -24,11 +24,10 @@
 // pattern; a converter call anywhere else is a channel for moving tuples
 // around the charge point and is flagged.
 //
-// The skew-adaptive planner adds a fourth escape class: the key-frequency
-// statistics (KeyFreq/HeavyKeys) are uncharged like IndexCard, which is
-// sound only while they steer plan choice rather than feed results; a
-// stats read outside internal/storage, internal/algebra and internal/rel
-// is flagged.
+// The key-frequency statistics (KeyFreq/HeavyKeys) are a fourth escape
+// class: they are uncharged like IndexCard, which is sound only while no
+// result depends on them. No planner reads them today, so a stats read
+// outside internal/storage and internal/rel is flagged.
 
 package lint
 
@@ -68,8 +67,7 @@ var AnalyzerChargePath = register(&Analyzer{
 // package rel; outside the kernel layer they can smuggle tuples around
 // the charge point.
 var batchConverters = map[string]bool{
-	"FromTuples":   true,
-	"FromRelation": true,
+	"FromTuples": true,
 }
 
 // batchLayer reports whether the package owns the charged-boundary side
@@ -81,21 +79,20 @@ func batchLayer(rel string) bool {
 // statsMethods are the uncharged key-frequency statistics reads. Like
 // IndexCard they are free by design — statistics may steer plan choice
 // but never contribute result tuples — which is only sound in the layers
-// that make planning decisions: the engines that maintain them and the
-// compiled kernels that split heavy from light keys. Anywhere else a
-// stats read is a channel for deriving data from table contents without
-// charging.
+// that own them: the engines that maintain them and the table
+// implementation they are computed from. Anywhere else a stats read is a
+// channel for deriving data from table contents without charging.
 var statsMethods = map[string]bool{
 	"KeyFreq":   true,
 	"HeavyKeys": true,
 }
 
 // statsLayer reports whether the package is a blessed consumer of the
-// uncharged key-frequency statistics: the planner/kernels and the table
-// implementation itself. internal/storage, which maintains the stats, is
-// outside the analyzer's scope already.
+// uncharged key-frequency statistics: the table implementation itself.
+// internal/storage, which maintains the stats, is outside the analyzer's
+// scope already.
 func statsLayer(rel string) bool {
-	return pathIn(rel, "internal/algebra", "internal/rel")
+	return pathIn(rel, "internal/rel")
 }
 
 func runChargePath(pass *Pass) {
@@ -139,10 +136,10 @@ func runChargePath(pass *Pass) {
 			case statsMethods[sel.Sel.Name] && !statsLayer(pass.Pkg.Rel) &&
 				(isNamed(recv, storagePkgPath, "Handle") || isNamed(recv, storagePkgPath, "Table") ||
 					isNamed(recv, relPkgPath, "Table")):
-				pass.Reportf(sel.Pos(), "%s outside the storage/planner layers: key-frequency statistics "+
-					"are uncharged by design (they steer plan choice, never results), so reading them here "+
-					"derives data from table contents invisibly to the cost model; keep stats consumers "+
-					"under internal/algebra (or annotate with //ivmlint:allow chargepath)", sel.Sel.Name)
+				pass.Reportf(sel.Pos(), "%s outside the storage layer: key-frequency statistics "+
+					"are uncharged by design (they may steer plan choice, never results), so reading them here "+
+					"derives data from table contents invisibly to the cost model "+
+					"(or annotate with //ivmlint:allow chargepath)", sel.Sel.Name)
 			case sel.Sel.Name == "Materialize" && !batchLayer(pass.Pkg.Rel) &&
 				isNamed(recv, relPkgPath, "Batch"):
 				pass.Reportf(sel.Pos(), "Batch.Materialize outside the compiled kernel layer: batch "+

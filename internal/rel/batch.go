@@ -416,11 +416,6 @@ func FromTuples(sch Schema, rows []Tuple) *Batch {
 	return b
 }
 
-// FromRelation converts an in-memory relation into a batch.
-func FromRelation(r *Relation) *Batch {
-	return FromTuples(r.Schema, r.Tuples)
-}
-
 // Materialize converts the batch back into a row-major relation, the
 // inverse charged-boundary converter: it runs only where batch results
 // leave the kernel layer (plan output bound for storage, the modlog or

@@ -346,8 +346,8 @@ func TestConformanceRandomizedDifferential(t *testing.T) {
 	}
 }
 
-// TestConformanceKeyStats pins the key-frequency statistics contract the
-// skew-adaptive planner builds on: KeyFreq is the exact global bucket
+// TestConformanceKeyStats pins the key-frequency statistics contract of
+// storage.Table: KeyFreq is the exact global bucket
 // size, HeavyKeys returns exactly the keys at or above the threshold in
 // deterministic (encoded-key) order with exact global counts, both hold
 // for pre and post state under an epoch, and every backend agrees with

@@ -89,9 +89,9 @@ type Table interface {
 	KeyFreq(s rel.State, attrs []string, vals []rel.Value) (int, error)
 	// HeavyKeys reports every distinct value combination over attrs whose
 	// frequency in the requested state is at least threshold, sorted by
-	// the canonical key encoding — the uncharged skew statistics behind
-	// heavy/light plan partitioning. Partitioned backends must return
-	// exact global frequencies identical to the unpartitioned result.
+	// the canonical key encoding — uncharged skew statistics. Partitioned
+	// backends must return exact global frequencies identical to the
+	// unpartitioned result.
 	HeavyKeys(s rel.State, attrs []string, threshold int) ([]rel.KeyCount, error)
 
 	// Insert adds a row, failing on a primary-key conflict.
