@@ -26,9 +26,10 @@ race-sharded:
 	IDIVM_ENGINE=sharded $(GO) test -race ./internal/...
 
 # race-serving is the serving-layer tear-check at both GOMAXPROCS shapes
-# CI uses; the suite matrixes both storage engines internally.
+# CI uses, plus the storage pre-state reader/writer tests beneath it; the
+# suites matrix both storage engines internally.
 race-serving:
-	$(GO) test -race -cpu 1,4 -run 'Serving|Snapshot|Dispatcher' ./internal/serve/ .
+	$(GO) test -race -cpu 1,4 -run 'Serving|Snapshot|Dispatcher' ./internal/serve/ ./internal/rel ./internal/storage .
 
 lint:
 	$(GO) run ./cmd/ivmlint ./...

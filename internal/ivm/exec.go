@@ -157,9 +157,10 @@ func runScript(d *db.Database, s *Script, bindings map[string]*rel.Relation, ver
 		x.bind[k] = v
 	}
 	// Open epochs on the view and caches — but only the ones some step
-	// actually reads in pre-state (computed once per script): the epoch
-	// snapshot is O(rows), and a table whose pre-state nobody reads gets
-	// nothing from it. Counters are unaffected — snapshots are uncharged.
+	// actually reads in pre-state (computed once per script): opening is
+	// O(1), but inside an epoch every write saves an undo pre-image, and a
+	// table whose pre-state nobody reads gets nothing from that. Counters
+	// are unaffected — epoch bookkeeping is uncharged.
 	epochTables := []string{s.View}
 	for _, c := range s.Caches {
 		epochTables = append(epochTables, c.Name)

@@ -99,7 +99,7 @@ type System struct {
 	// round start and, at round end, atomically advances each snapshot to
 	// the new post-state (AdvanceEpoch) instead of closing the epochs. A
 	// concurrent snapshot reader therefore always resolves StatePre to
-	// some completed round's frozen state, never to live storage. On a
+	// some completed round's frozen state, never to the live post-state. On a
 	// failed round nothing advances — readers keep the last good state
 	// and the log is retained for retry. Epoch operations are uncharged,
 	// so access counts are byte-identical with the flag on or off. Set by

@@ -77,6 +77,16 @@ func (h *hashIndex) update(oldRow, newRow Tuple, pos int) {
 	h.buckets[nk] = append(h.buckets[nk], pos)
 }
 
+// compact copies the buckets into a fresh map sized to its contents (see
+// tableCore.compactMaps).
+func (h *hashIndex) compact() {
+	buckets := make(map[string][]int, len(h.buckets))
+	for k, b := range h.buckets { // order-free: map-to-map copy
+		buckets[k] = b
+	}
+	h.buckets = buckets
+}
+
 func indexSig(attrs []string) string { return strings.Join(attrs, "\x00") }
 
 // idxEntry is one slot of an index cache: a single-flight cell whose build
@@ -92,49 +102,25 @@ type idxEntry struct {
 	err  error
 }
 
-// indexOn returns (building lazily) the secondary index over attrs for the
-// requested state. Pre-state indexes are cached for the epoch; post-state
-// indexes are maintained incrementally by the table's mutation paths.
+// indexOn returns (building lazily) the post-state secondary index over
+// attrs. Post-state indexes are maintained incrementally by the table's
+// mutation paths; pre-state probes use the same index through the epoch
+// overlay (see tableCore.probe), so no index is ever rebuilt for an epoch.
 //
 // Callers hold c.mu (read or write). The cache maps are guarded by the
 // leaf lock idxMu; builds themselves run inside the entry's once, outside
 // idxMu. That is safe against mutation: builds only run under the caller's
 // c.mu (read or write), and every mutation path holds c.mu.Lock — so a
 // writer can never observe an in-flight build, only completed entries.
-func (c *tableCore) indexOn(s State, attrs []string) (*hashIndex, error) {
-	return c.indexOnSig(s, attrs, indexSig(attrs))
+func (c *tableCore) indexOn(attrs []string) (*hashIndex, error) {
+	return c.indexOnSig(attrs, indexSig(attrs))
 }
 
 // indexOnSig is indexOn with the signature precomputed by the caller, so
 // prepared probes (Table.LookupInto) skip the per-call strings.Join. Column
 // resolution only runs on a cache miss: a hit is a map lookup.
-func (c *tableCore) indexOnSig(s State, attrs []string, sig string) (*hashIndex, error) {
-	var cache map[string]*idxEntry
-	var rows []Tuple
-	if s == StatePre && c.inEpoch {
-		// Until the first write of the epoch, the pre- and post-states are
-		// identical (same content, same row order), so the incrementally
-		// maintained post-state index serves pre-state probes without a
-		// rebuild.
-		if !c.epochMutated {
-			cache, rows = c.secondary, c.rows
-		} else {
-			cache, rows = c.preSecondary, c.preRows
-		}
-	} else {
-		cache, rows = c.secondary, c.rows
-	}
-	c.idxMu.RLock()
-	e, ok := cache[sig]
-	c.idxMu.RUnlock()
-	if !ok {
-		c.idxMu.Lock()
-		if e, ok = cache[sig]; !ok {
-			e = &idxEntry{}
-			cache[sig] = e
-		}
-		c.idxMu.Unlock()
-	}
+func (c *tableCore) indexOnSig(attrs []string, sig string) (*hashIndex, error) {
+	e := c.entry(&c.secondary, sig)
 	e.once.Do(func() {
 		atomic.AddInt64(&c.idxBuilds, 1)
 		idx, err := c.schema.Indices(attrs)
@@ -142,12 +128,44 @@ func (c *tableCore) indexOnSig(s State, attrs []string, sig string) (*hashIndex,
 			e.err = err
 			return
 		}
-		e.h = buildHashIndex(rows, idx)
+		e.h = buildHashIndex(c.rows, idx)
 	})
 	if e.err != nil {
 		return nil, e.err
 	}
 	return e.h, nil
+}
+
+// undoIndex returns (building lazily, once per epoch and signature) the
+// index with signature sig and column positions attrIdx over the epoch's
+// undo pre-images. saveUndo keeps built ones current. It is O(changed
+// rows) to build and is not counted in idxBuilds. Same locking contract
+// as indexOn.
+func (c *tableCore) undoIndex(sig string, attrIdx []int) *hashIndex {
+	e := c.entry(&c.ov.undoIdx, sig)
+	e.once.Do(func() { e.h = buildHashIndex(c.ov.undoRows, attrIdx) })
+	return e.h
+}
+
+// entry returns the single-flight slot for sig in *cache, installing it
+// (and the map) if absent.
+func (c *tableCore) entry(cache *map[string]*idxEntry, sig string) *idxEntry {
+	c.idxMu.RLock()
+	e, ok := (*cache)[sig]
+	c.idxMu.RUnlock()
+	if ok {
+		return e
+	}
+	c.idxMu.Lock()
+	defer c.idxMu.Unlock()
+	if e, ok = (*cache)[sig]; !ok {
+		if *cache == nil {
+			*cache = make(map[string]*idxEntry)
+		}
+		e = &idxEntry{}
+		(*cache)[sig] = e
+	}
+	return e
 }
 
 // Incremental maintenance hooks called by the table's mutation paths,

@@ -171,6 +171,72 @@ func TestFailedIndexEntryIsInert(t *testing.T) {
 	}
 }
 
+// Pre-state probes inside an epoch must be answered from the live
+// post-state index plus the epoch overlay: once that index exists, no
+// amount of writing and pre-state probing builds another one.
+func TestPreStateProbesBuildNoIndex(t *testing.T) {
+	tab := MustNewTable("t", NewSchema([]string{"k", "g"}, []string{"k"}))
+	for i := int64(0); i < 300; i++ {
+		tab.MustInsert(Int(i), Int(i%7))
+	}
+	// Warm the probed index on g and the key index UpdateKey writes
+	// through.
+	if _, err := tab.Lookup(StatePost, []string{"g"}, []Value{Int(0)}); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := tab.UpdateKey([]Value{Int(-1)}, []string{"g"}, []Value{Int(0)}); err != nil {
+		t.Fatal(err)
+	}
+	const warm = 2
+	if got := atomicLoadBuilds(tab); got != warm {
+		t.Fatalf("builds after warm-up = %d, want %d", got, warm)
+	}
+	pl := PrepareLookup([]string{"g"})
+	for round := int64(0); round < 3; round++ {
+		if round == 0 {
+			tab.BeginEpoch()
+		} else {
+			tab.AdvanceEpoch()
+		}
+		want := map[int64]int{}
+		for _, r := range tab.Rows(StatePost) {
+			want[r[1].AsInt()]++
+		}
+		// Updates move rows between groups, deletes swap-remove, inserts
+		// append: every overlay path is exercised before the probes.
+		for i := int64(0); i < 20; i++ {
+			k := round*40 + i
+			if _, err := tab.UpdateKey([]Value{Int(k)}, []string{"g"}, []Value{Int((k + 3) % 7)}); err != nil {
+				t.Fatal(err)
+			}
+			tab.DeleteKey([]Value{Int(k + 20)})
+			tab.MustInsert(Int(1000+k), Int(k%7))
+		}
+		for g := int64(0); g < 7; g++ {
+			vals := []Value{Int(g)}
+			rows, err := tab.Lookup(StatePre, []string{"g"}, vals)
+			if err != nil || len(rows) != want[g] {
+				t.Fatalf("round %d g=%d: pre Lookup %d rows (err %v), want %d", round, g, len(rows), err, want[g])
+			}
+			into, _, err := tab.LookupInto(StatePre, pl, vals, nil, nil)
+			if err != nil || len(into) != want[g] {
+				t.Fatalf("round %d g=%d: pre LookupInto %d rows (err %v), want %d", round, g, len(into), err, want[g])
+			}
+			p, _, err := tab.IndexCard(StatePre, []string{"g"}, vals)
+			if err != nil || p != want[g] {
+				t.Fatalf("round %d g=%d: pre IndexCard p=%d (err %v), want %d", round, g, p, err, want[g])
+			}
+			if n, err := tab.KeyFreq(StatePre, []string{"g"}, vals); err != nil || n != want[g] {
+				t.Fatalf("round %d g=%d: pre KeyFreq %d (err %v), want %d", round, g, n, err, want[g])
+			}
+		}
+		if got := atomicLoadBuilds(tab); got != warm {
+			t.Fatalf("round %d: %d index builds, want %d (pre-state probes rebuilt the index)", round, got, warm)
+		}
+	}
+	tab.EndEpoch()
+}
+
 // atomicLoadBuilds reads the table's build counter.
 func atomicLoadBuilds(t *Table) int64 {
 	return atomic.LoadInt64(&t.core.idxBuilds)

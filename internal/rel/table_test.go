@@ -2,6 +2,7 @@ package rel
 
 import (
 	"math/rand"
+	"sync"
 	"testing"
 )
 
@@ -248,4 +249,118 @@ func TestQualify(t *testing.T) {
 	if tb != "" || at != "plain" {
 		t.Errorf("BaseAttr(plain) = %q, %q", tb, at)
 	}
+}
+
+// fingerprint renders rows as a sorted multiset.
+func fingerprint(rows []Tuple) string {
+	r := &Relation{Tuples: append([]Tuple(nil), rows...)}
+	return r.Sorted().String()
+}
+
+// TestPreStateSnapshotAdvanceUnderReaders is the serving pattern at the
+// table level: a writer mutates the post-state and periodically advances
+// the epoch while readers scan and probe the pre-state. Every pre-state
+// read must be exactly the contents at some AdvanceEpoch. Run under -race.
+func TestPreStateSnapshotAdvanceUnderReaders(t *testing.T) {
+	tab := MustNewTable("t", NewSchema([]string{"k", "g"}, []string{"k"}))
+	for i := int64(0); i < 60; i++ {
+		tab.MustInsert(Int(i), Int(i%4))
+	}
+	var mu sync.Mutex
+	legal := map[string]bool{}
+	legalGroup := map[string]bool{}
+	record := func() {
+		rows := tab.Rows(StatePost)
+		var g1 []Tuple
+		for _, r := range rows {
+			if r[1].AsInt() == 1 {
+				g1 = append(g1, r)
+			}
+		}
+		mu.Lock()
+		legal[fingerprint(rows)] = true
+		legalGroup[fingerprint(g1)] = true
+		mu.Unlock()
+	}
+	record()
+	tab.BeginEpoch()
+	defer tab.EndEpoch()
+
+	stop := make(chan struct{})
+	var wg sync.WaitGroup
+	for w := 0; w < 2; w++ {
+		wg.Add(1)
+		//ivmlint:allow gostmt — test readers racing the writer on purpose
+		go func() {
+			defer wg.Done()
+			for {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				scan := fingerprint(tab.Scan(StatePre))
+				g1, err := tab.Lookup(StatePre, []string{"g"}, []Value{Int(1)})
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				probe := fingerprint(g1)
+				mu.Lock()
+				okScan, okProbe := legal[scan], legalGroup[probe]
+				mu.Unlock()
+				if !okScan || !okProbe {
+					t.Errorf("pre-state read matches no advanced state (scan %v, probe %v)", okScan, okProbe)
+					return
+				}
+			}
+		}()
+	}
+	rng := rand.New(rand.NewSource(4))
+	for op := 0; op < 600; op++ {
+		k := Int(int64(rng.Intn(80)))
+		switch rng.Intn(3) {
+		case 0:
+			_, _ = tab.InsertIfAbsent(Tuple{k, Int(int64(rng.Intn(4)))})
+		case 1:
+			tab.DeleteKey([]Value{k})
+		default:
+			if _, err := tab.UpdateKey([]Value{k}, []string{"g"}, []Value{Int(int64(rng.Intn(4)))}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if op%25 == 24 {
+			record()
+			tab.AdvanceEpoch()
+		}
+	}
+	close(stop)
+	wg.Wait()
+}
+
+// The epoch counter that stamps fresh rows may wrap; stamps from before
+// the wrap must not mark rows fresh in the reused epoch numbers.
+func TestEpochCounterWrap(t *testing.T) {
+	tab := mkParts(t)
+	tab.core.epoch = ^uint32(0) - 1
+	tab.BeginEpoch() // epoch = max
+	if err := tab.Insert(Tuple{String("P4"), Int(40)}); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 3; i++ { // wraps to 1, then 2, 3
+		tab.AdvanceEpoch()
+		if _, err := tab.UpdateKey([]Value{String("P1")}, []string{"price"}, []Value{Int(int64(11 + i))}); err != nil {
+			t.Fatal(err)
+		}
+		if got := tab.LenPre(); got != 4 {
+			t.Fatalf("advance %d: LenPre = %d, want 4", i, got)
+		}
+		if _, ok := tab.Get(StatePre, []Value{String("P4")}); !ok {
+			t.Fatalf("advance %d: P4 missing from the pre-state", i)
+		}
+		if pre, ok := tab.Get(StatePre, []Value{String("P1")}); !ok || !pre[1].Equal(Int(int64(10+i))) {
+			t.Fatalf("advance %d: pre P1 = %v", i, pre)
+		}
+	}
+	tab.EndEpoch()
 }

@@ -18,11 +18,18 @@
 // op), runs MaintainAll once, then resolves every op's Pending with its
 // own apply error or, failing that, the round error. Close drains the
 // queue, commits a final batch, and stops the goroutine.
+//
+// A panic during a commit (a storage fault, a round hook) is contained:
+// the dispatcher resolves the batch it was committing and any Flush
+// waiting on it with an ErrFailed error, then answers every later op and
+// Flush with that same error at once until Close. The database state
+// after the panic is unknown, so nothing is applied or maintained again.
 
 package serve
 
 import (
 	"errors"
+	"fmt"
 	"time"
 
 	"idivm/internal/rel"
@@ -31,6 +38,10 @@ import (
 // ErrClosed is returned by enqueue, Flush and Wait when the server was
 // closed before the operation could commit.
 var ErrClosed = errors.New("serve: server closed")
+
+// ErrFailed wraps the error every Pending, Flush and snapshot read that
+// cannot complete reports after the dispatcher panicked.
+var ErrFailed = errors.New("serve: dispatcher failed")
 
 type opKind uint8
 
@@ -132,8 +143,9 @@ func (s *Server) Flush() error {
 }
 
 // Close stops accepting modifications, commits a final batch of whatever
-// is queued, and stops the dispatcher. It returns the final round's error,
-// if any. Safe to call more than once.
+// is queued, and stops the dispatcher. It returns the dispatcher's
+// ErrFailed error if it panicked, nil otherwise. Safe to call more than
+// once.
 func (s *Server) Close() error {
 	s.closeMu.Lock()
 	if s.closed {
@@ -145,6 +157,15 @@ func (s *Server) Close() error {
 	s.closeMu.Unlock()
 	close(s.quit)
 	<-s.done
+	return s.failure()
+}
+
+// failure returns the dispatcher's panic error, or nil while it is
+// healthy.
+func (s *Server) failure() error {
+	if err := s.fault.Load(); err != nil {
+		return *err
+	}
 	return nil
 }
 
@@ -158,6 +179,23 @@ func (s *Server) start() {
 func (s *Server) dispatch() {
 	defer close(s.done)
 	var batch []*pendingOp
+	var flushAck chan error // the Flush waiting on the commit in progress
+	defer func() {
+		r := recover()
+		if r == nil {
+			return
+		}
+		err := fmt.Errorf("%w: panic: %v", ErrFailed, r)
+		s.fault.Store(&err)
+		// A panic cuts commit short before it resolves any op.
+		for _, op := range batch {
+			op.done <- err
+		}
+		if flushAck != nil {
+			flushAck <- err
+		}
+		s.failed(err)
+	}()
 	var timer *time.Timer
 	var timeout <-chan time.Time
 
@@ -197,7 +235,9 @@ func (s *Server) dispatch() {
 			// producer's enqueue-then-Flush sequence commits as one batch
 			// regardless of which channel the select drained first.
 			batch = drain(s.opCh, batch)
+			flushAck = ack
 			ack <- commit()
+			flushAck = nil
 		case <-s.quit:
 			// Drain ops admitted before Close flipped the flag, then
 			// commit the final batch. No enqueue can race past this:
@@ -207,6 +247,25 @@ func (s *Server) dispatch() {
 			// closed, publish delivers best-effort — see subscribe.go).
 			batch = drain(s.opCh, batch)
 			commit()
+			s.closeSubs()
+			return
+		}
+	}
+}
+
+// failed is the dispatcher after a panic: until Close it answers every op
+// and Flush with err at once, so no caller blocks on a dead dispatcher.
+func (s *Server) failed(err error) {
+	for {
+		select {
+		case op := <-s.opCh:
+			op.done <- err
+		case ack := <-s.flushCh:
+			ack <- err
+		case <-s.quit:
+			for _, op := range drain(s.opCh, nil) {
+				op.done <- err
+			}
 			s.closeSubs()
 			return
 		}

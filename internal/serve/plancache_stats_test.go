@@ -2,6 +2,7 @@ package serve_test
 
 import (
 	"sync"
+	"sync/atomic"
 	"testing"
 
 	"idivm/internal/serve"
@@ -78,6 +79,8 @@ func TestQuerySnapshotPlanCacheConcurrent(t *testing.T) {
 			s := newServed(t, eng.mk, serve.Options{MaxBatch: 8})
 			const sql = `SELECT pid, price FROM parts WHERE price < 100`
 			var wg sync.WaitGroup
+			var reads atomic.Int64
+			var failed atomic.Bool
 			stop := make(chan struct{})
 			for r := 0; r < 4; r++ {
 				wg.Add(1)
@@ -92,12 +95,18 @@ func TestQuerySnapshotPlanCacheConcurrent(t *testing.T) {
 						}
 						if _, err := s.srv.QuerySnapshot(sql); err != nil {
 							t.Errorf("QuerySnapshot: %v", err)
+							failed.Store(true)
 							return
 						}
+						reads.Add(1)
 					}
 				}()
 			}
-			for i := 0; i < 50; i++ {
+			// Keep committing rounds until the readers have done at least
+			// eight reads between them: then some reader has read twice,
+			// and its second read must hit the plan its first one cached.
+			// Rounds can outrun reader start-up on a loaded machine.
+			for i := 0; (i < 50 || reads.Load() < 8) && !failed.Load(); i++ {
 				if err := s.ds.ApplyPriceUpdates(); err != nil {
 					t.Fatalf("updates: %v", err)
 				}

@@ -17,17 +17,20 @@
 //	StatePre == some completed round's frozen post-state, always.
 //
 // So a snapshot reader simply reads StatePre. It never waits for a round
-// — maintenance and batched writes mutate StatePost only, and frozen
-// snapshots are immutable (updates clone rows rather than writing in
-// place), so readers and the single writer never touch the same memory.
+// — maintenance and batched writes mutate StatePost only. Each table
+// answers StatePre from its live rows plus the pre-images of the rows the
+// round changed, under its own lock for one call at a time, and stored
+// rows are immutable (updates clone rows rather than writing in place),
+// so a reader never sees a half-applied write.
 // The one consistency hazard is the advance window at round end: the
 // sweep refreezes tables (and, on the sharded engine, shards) one at a
 // time, so a reader overlapping it could combine tables from two rounds.
 // A seqlock brackets exactly that window: the round hooks bump
 // Server.pinSeq to odd when the advance begins and back to even when it
 // ends; readers retry if they started during, or were overlapped by, an
-// advance. The window is one snapshot sweep — retries are rare and short
-// — while rounds themselves, however long, never delay a read.
+// advance. The window is one sweep of O(1) per-table epoch resets —
+// retries are rare and short — while rounds themselves, however long,
+// never delay a read.
 //
 // Unlogged base tables feed no view and get no epoch: a snapshot query
 // touching one reads its live state, which is only stable if nothing is
@@ -126,6 +129,9 @@ type Server struct {
 	// snapshot it before and after reading StatePre and retry on odd or
 	// changed.
 	pinSeq atomic.Uint64
+
+	// fault holds the ErrFailed error once the dispatcher has panicked.
+	fault atomic.Pointer[error]
 
 	snapshotReads   atomic.Int64
 	snapshotRetries atomic.Int64
@@ -228,6 +234,11 @@ func (s *Server) read(fn func() (*rel.Relation, error)) (*rel.Relation, error) {
 				s.snapshotReads.Add(1)
 				return r, nil
 			}
+		}
+		if err := s.failure(); err != nil {
+			// A panic inside the advance window can leave pinSeq odd
+			// for good; fail instead of spinning.
+			return nil, err
 		}
 		s.snapshotRetries.Add(1)
 		runtime.Gosched()

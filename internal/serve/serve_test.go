@@ -549,3 +549,113 @@ func TestSnapshotUnknownView(t *testing.T) {
 		t.Fatalf("ViewSnapshot(nope) = %v, want unknown table", err)
 	}
 }
+
+// within runs f on a watchdog goroutine and fails the test if it does not
+// return in time: a stranded caller must fail the test, not hang it.
+func within(t *testing.T, what string, f func() error) error {
+	t.Helper()
+	res := make(chan error, 1)
+	//ivmlint:allow gostmt — watchdog so a stranded caller fails the test
+	go func() { res <- f() }()
+	select {
+	case err := <-res:
+		return err
+	case <-time.After(10 * time.Second):
+		t.Fatalf("%s still blocked after the dispatcher panicked", what)
+		return nil
+	}
+}
+
+// TestDispatcherPanicResolvesPendings injects a panic on the dispatcher
+// goroutine through a round hook. The batch being committed, the Flush
+// waiting on it, every later op and Flush, and Close must all return with
+// ErrFailed instead of blocking; snapshot reads keep answering from the
+// last completed round.
+func TestDispatcherPanicResolvesPendings(t *testing.T) {
+	for _, e := range engines {
+		t.Run(e.name, func(t *testing.T) {
+			ds := workload.BuildWith(testParams(), e.mk())
+			sys := ivm.NewSystem(ds.DB)
+			if _, err := sys.RegisterView(testView, ds.SPJPlan(), ivm.ModeID); err != nil {
+				t.Fatalf("RegisterView: %v", err)
+			}
+			var boom sync.Once
+			armed := make(chan struct{})
+			// Installed before serve.New so the server composes around it.
+			sys.Hooks = ivm.RoundHooks{RoundBegin: func() {
+				select {
+				case <-armed:
+					boom.Do(func() { panic("injected round fault") })
+				default:
+				}
+			}}
+			srv := serve.New(ds.DB, sys, flushOpts)
+			price := func(p int64) (*serve.Pending, []rel.Value) {
+				key := []rel.Value{rel.Int(p)}
+				return srv.EnqueueUpdate("parts", key, []string{"price"}, []rel.Value{rel.Int(424242)}), key
+			}
+
+			// A healthy round first.
+			ok, _ := price(0)
+			if err := srv.Flush(); err != nil {
+				t.Fatalf("healthy Flush: %v", err)
+			}
+			if err := ok.Wait(); err != nil {
+				t.Fatalf("healthy Wait: %v", err)
+			}
+			before, err := srv.ViewSnapshot(testView)
+			if err != nil {
+				t.Fatalf("ViewSnapshot: %v", err)
+			}
+
+			close(armed)
+			p1, _ := price(1)
+			p2 := srv.EnqueueInsert("parts", rel.Tuple{rel.Int(1_000_000), rel.Int(1)})
+			if err := within(t, "Flush", srv.Flush); !errors.Is(err, serve.ErrFailed) {
+				t.Fatalf("Flush over the panicking round = %v, want ErrFailed", err)
+			}
+			for i, p := range []*serve.Pending{p1, p2} {
+				if err := within(t, "Wait", p.Wait); !errors.Is(err, serve.ErrFailed) {
+					t.Fatalf("pending %d in the panicking batch = %v, want ErrFailed", i, err)
+				}
+			}
+
+			// Later ops and flushes fail at once; nothing is applied.
+			p3, key := price(2)
+			if err := within(t, "Wait", p3.Wait); !errors.Is(err, serve.ErrFailed) {
+				t.Fatalf("op after the panic = %v, want ErrFailed", err)
+			}
+			if err := within(t, "Flush", srv.Flush); !errors.Is(err, serve.ErrFailed) {
+				t.Fatalf("Flush after the panic = %v, want ErrFailed", err)
+			}
+			parts, err := ds.DB.Table("parts")
+			if err != nil {
+				t.Fatal(err)
+			}
+			if row, found := parts.WithCounter(nil).Get(rel.StatePost, key); !found || row[1].Equal(rel.Int(424242)) {
+				t.Fatalf("op after the panic reached the table: %v", row)
+			}
+
+			// The panic hit before the advance window, so the last
+			// completed round is still readable.
+			after, err := srv.ViewSnapshot(testView)
+			if err != nil {
+				t.Fatalf("ViewSnapshot after the panic: %v", err)
+			}
+			if fingerprint(after) != fingerprint(before) {
+				t.Fatal("snapshot after the panic differs from the last completed round")
+			}
+
+			pend := srv.EnqueueDelete("parts", key)
+			if err := within(t, "Close", srv.Close); !errors.Is(err, serve.ErrFailed) {
+				t.Fatalf("Close = %v, want ErrFailed", err)
+			}
+			if err := within(t, "Wait", pend.Wait); !errors.Is(err, serve.ErrFailed) {
+				t.Fatalf("op queued before Close = %v, want ErrFailed", err)
+			}
+			if err := srv.EnqueueInsert("parts", rel.Tuple{rel.Int(2_000_000), rel.Int(1)}).Wait(); !errors.Is(err, serve.ErrClosed) {
+				t.Fatalf("op after Close = %v, want ErrClosed", err)
+			}
+		})
+	}
+}

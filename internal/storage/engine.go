@@ -41,8 +41,11 @@ import (
 //
 // The concurrency contract matches rel.Table's: readers (Scan/Get/Lookup/
 // LookupInto/Len/Rows/Relation) may run concurrently; writers are
-// serialized per table by the Δ-script scheduler and must be safe against
-// concurrent readers of the other state (pre-state probes during apply).
+// serialized per table by their single writer (the Δ-script executor or
+// the serving dispatcher) and must be safe against concurrent readers of
+// the other state (pre-state probes during apply, snapshot readers). A
+// StatePre scan result must stay valid after later writes: pre-state
+// readers may hold it across the whole epoch.
 type Table interface {
 	// Name returns the table's name.
 	Name() string
@@ -121,16 +124,20 @@ type Table interface {
 	// UpdateKey updates the single row with the given primary key.
 	UpdateKey(key []rel.Value, setAttrs []string, setVals []rel.Value) (bool, error)
 
-	// AdvanceEpoch atomically refreezes the pre-state at the current
-	// contents (EndEpoch + BeginEpoch in one step): concurrent StatePre
-	// readers resolve either the old or the new frozen snapshot, never
-	// live storage. Sharded backends may advance shard by shard; callers
-	// needing cross-shard atomicity must coordinate above this interface.
+	// AdvanceEpoch atomically moves the pre-state to the current contents
+	// (EndEpoch + BeginEpoch in one step): concurrent StatePre readers
+	// resolve either the old or the new pre-state, never a mix. Sharded
+	// backends may advance shard by shard; callers needing cross-shard
+	// atomicity must coordinate above this interface.
 	AdvanceEpoch()
-	// BeginEpoch freezes the current contents as the pre-state; subsequent
+	// BeginEpoch makes the current contents the pre-state; subsequent
 	// mutations affect only the post-state (deferred IVM, Section 3).
+	// Opening, advancing and ending an epoch should cost O(1) or O(rows
+	// changed in the epoch), not O(table size): the executor and the
+	// serving layer open one per pre-read table per round.
 	BeginEpoch()
-	// EndEpoch discards the pre-state snapshot.
+	// EndEpoch closes the epoch and discards what it kept for the
+	// pre-state.
 	EndEpoch()
 	// InEpoch reports whether a maintenance epoch is open.
 	InEpoch() bool

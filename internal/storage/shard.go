@@ -330,7 +330,7 @@ func (t *shardTable) UpdateKey(key []rel.Value, setAttrs []string, setVals []rel
 	return t.forKey(key).UpdateKey(key, setAttrs, setVals)
 }
 
-// BeginEpoch implements Table: every shard snapshots its pre-state.
+// BeginEpoch implements Table: every shard opens its epoch overlay.
 func (t *shardTable) BeginEpoch() {
 	for _, sh := range t.shards {
 		sh.BeginEpoch()
